@@ -8,8 +8,12 @@
 // BENCH_persistent_cache.json for the perf-smoke CI gate: `speedup` is a
 // floor, `max_disk_misses` and `max_simulations` are hard zeros, so losing
 // the disk tier (speedup collapses to 1x) or its key stability (misses
-// creep in) trips CI. A third, in-memory warm sweep (no restart) is
-// measured for the report's memory-vs-disk attribution story.
+// creep in) trips CI. `simulations_cold` counts the distinct configurations
+// the cold sweep replayed, and `max_simulations_cold` pins it to the
+// study's distinct-key count, so a sweep that re-simulates a config it
+// already has in flight trips CI on any machine. A third, in-memory warm
+// sweep (no restart) is measured for the report's memory-vs-disk
+// attribution story.
 
 #include <chrono>
 #include <cstdint>
@@ -89,7 +93,7 @@ int run_study(const std::string& cache_dir, Measurement& m) {
   const FullDseResult cold = run_full_dse(context, space);
   m.cold_ms = wall_ms(start);
   m.feasible = cold.feasible_count;
-  m.simulations_cold = cold.batch.members;  // design points actually simulated
+  m.simulations_cold = cold.batch.replayed_configs;  // distinct configs simulated
   cache.flush_disk();
 
   // Emulated process restart: memory tier and counters gone, the same

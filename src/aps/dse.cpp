@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "c2b/aps/surrogate.h"
@@ -325,10 +327,10 @@ double simulate_design_time(const DseContext& context, const std::vector<double>
 
 namespace {
 
-/// Members of one work unit: indices into the caller's point list, all in
-/// the same trace-equivalence class. Bounded so the K simulator instances'
-/// working sets stay cache-resident and classes still split into enough
-/// units to feed the thread pool.
+/// Members of one work unit: indices of distinct-key groups (one
+/// configuration each), all in the same trace-equivalence class. Bounded
+/// so the K simulator instances' working sets stay cache-resident and
+/// classes still split into enough units to feed the thread pool.
 constexpr std::size_t kMaxBatchMembers = 16;
 
 struct BatchUnit {
@@ -478,43 +480,79 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   std::vector<unsigned char> peeled;
   if (journal != nullptr) peeled.assign(points.size(), 0);
 
-  // Peel sim-cache hits up front so only genuinely new designs reach the
-  // batching machinery; classify the misses by core count. Within one
-  // context the trace-equivalence key varies only through N (see
-  // trace_class_key), so N *is* the class — std::map keeps class order
-  // deterministic and independent of the point order hash.
-  std::vector<sim::SystemConfig> configs;
-  configs.reserve(points.size());
-  std::vector<std::string> keys(points.size());
-  exec::SimCache& cache = exec::SimCache::global();
-  std::map<std::uint32_t, std::vector<std::size_t>> classes;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    configs.push_back(config_for_design(context, points[i]));
-    keys[i] = simulation_cache_key(context, configs[i]);
-  }
-  // One bulk probe for the whole sweep: find_many takes each shard lock
-  // once (and the disk-tier index lock once) instead of once per point.
-  std::uint64_t peel_disk_hits = 0;
-  const auto cached = cache.find_many(keys, &peel_disk_hits);
-  local.cache_hits_disk = static_cast<std::size_t>(peel_disk_hits);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (cached[i].has_value()) {
-      C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached[i]->memory_accesses);
-      outcomes[i] = {cached[i]->time, cached[i]->memory_accesses};
-      keys[i].clear();  // nothing to insert later
-      ++local.cache_hits;
-      if (!peeled.empty()) peeled[i] = 1;
-      continue;
+  // Group the points by canonical simulation key, in first-occurrence
+  // order. Equal key => equal config => bit-identical outcome (the
+  // argument the SimCache itself rests on), and the config quantization
+  // maps many grid points onto one key, so each group is probed,
+  // simulated and inserted once and its outcome fanned out to every
+  // point that shares it. An empty key (uid-less workload) is never
+  // merged: such a point is its own group. Only group representatives
+  // keep their config and key; the lookup map is freed before the sweep.
+  std::vector<std::size_t> group_of(points.size());
+  std::vector<std::size_t> representative;  // first point of each group
+  std::vector<std::size_t> group_points;    // points sharing each group
+  std::vector<sim::SystemConfig> configs;   // one per group
+  std::vector<std::string> keys;            // one per group
+  {
+    // Reserved up front so the string_views the map holds never dangle.
+    keys.reserve(points.size());
+    std::unordered_map<std::string_view, std::size_t> group_by_key;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      sim::SystemConfig config = config_for_design(context, points[i]);
+      std::string key = simulation_cache_key(context, config);
+      if (!key.empty())
+        if (const auto it = group_by_key.find(key); it != group_by_key.end()) {
+          group_of[i] = it->second;
+          ++group_points[it->second];
+          continue;
+        }
+      group_of[i] = keys.size();
+      representative.push_back(i);
+      group_points.push_back(1);
+      configs.push_back(std::move(config));
+      keys.push_back(std::move(key));
+      if (!keys.back().empty()) group_by_key.emplace(keys.back(), group_of[i]);
     }
-    classes[configs[i].hierarchy.cores].push_back(i);
   }
+  keys.shrink_to_fit();
+
+  // One bulk probe over the distinct keys: find_many takes each shard lock
+  // once (and the disk-tier index lock once) instead of once per point. A
+  // hit is fanned out to every point of its group; the misses are
+  // classified by core count. Within one context the trace-equivalence
+  // key varies only through N (see trace_class_key), so N *is* the class —
+  // std::map keeps class order deterministic and independent of the point
+  // order hash.
+  exec::SimCache& cache = exec::SimCache::global();
+  std::vector<unsigned char> from_disk;
+  const auto cached = cache.find_many(keys, &from_disk);
+  std::map<std::uint32_t, std::vector<std::size_t>> classes;  // group indices
+  for (std::size_t g = 0; g < keys.size(); ++g) {
+    if (cached[g].has_value()) continue;
+    classes[configs[g].hierarchy.cores].push_back(g);
+    ++local.replayed_configs;
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::size_t g = group_of[i];
+    if (!cached[g].has_value()) continue;
+    // Replayed accesses never reach the simulator's sim.l1.* counters;
+    // this counter keeps the telemetry ledger balanced.
+    C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached[g]->memory_accesses);
+    outcomes[i] = {cached[g]->time, cached[g]->memory_accesses};
+    ++local.cache_hits;
+    if (from_disk[g] != 0) ++local.cache_hits_disk;
+    if (!peeled.empty()) peeled[i] = 1;
+  }
+  local.members = points.size() - local.cache_hits;
+  const std::size_t duplicates = local.members - local.replayed_configs;
 
   if (journal != nullptr)
     journal->emit(obs::JournalEvent("cache_peel")
                       .count("points", points.size())
                       .count("hits", local.cache_hits)
                       .count("disk_hits", local.cache_hits_disk)
-                      .count("misses", points.size() - local.cache_hits));
+                      .count("misses", local.members)
+                      .count("duplicates", duplicates));
   if (local.cache_hits > 0)
     if (obs::ProgressMeter* progress = obs::active_progress())
       progress->advance(static_cast<double>(local.cache_hits));
@@ -531,7 +569,6 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
     (void)cores;
     const std::size_t class_index = class_count++;
     ++local.classes;
-    local.members += members.size();
     std::size_t begin = 0;
     while (begin < members.size()) {
       std::size_t take = kMaxBatchMembers;
@@ -604,9 +641,9 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
             // arbitrary, but the (unit, cores, members, config) multiset is
             // identical for every thread count (wall_ms is wall clock and
             // of course is not).
+            const BatchUnit& unit = units[u];
             if (obs::RunJournal* active = obs::active_journal()) {
-              const BatchUnit& unit = units[u];
-              const std::vector<double>& point = points[unit.members.front()];
+              const std::vector<double>& point = points[representative[unit.members.front()]];
               char config_buf[96];
               std::snprintf(config_buf, sizeof config_buf,
                             "n=%.0f a0=%g a1=%g a2=%g issue=%.0f rob=%.0f",
@@ -621,21 +658,27 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
                       .str("config", config_buf));
               active->snapshot_metrics();
             }
-            if (obs::ProgressMeter* progress = obs::active_progress())
-              progress->advance(static_cast<double>(units[u].members.size()));
+            if (obs::ProgressMeter* progress = obs::active_progress()) {
+              std::size_t resolved = 0;  // the unit's configs plus their duplicates
+              for (const std::size_t g : unit.members) resolved += group_points[g];
+              progress->advance(static_cast<double>(resolved));
+            }
             return result;
           });
 
+  // Serial scatter: each replayed config lands on its representative
+  // point and is inserted into the cache once; every duplicate then copies
+  // its representative's outcome.
   std::vector<std::pair<std::string, exec::SimCache::Value>> inserts;
-  inserts.reserve(points.size());
+  inserts.reserve(local.replayed_configs);
   for (std::size_t u = 0; u < units.size(); ++u) {
     const BatchUnit& unit = units[u];
     const BatchUnitResult& result = unit_results[u];
     for (std::size_t m = 0; m < unit.members.size(); ++m) {
-      const std::size_t index = unit.members[m];
-      outcomes[index] = result.outcomes[m];
-      if (!keys[index].empty())
-        inserts.emplace_back(std::move(keys[index]),
+      const std::size_t g = unit.members[m];
+      outcomes[representative[g]] = result.outcomes[m];
+      if (!keys[g].empty())
+        inserts.emplace_back(std::move(keys[g]),
                              exec::SimCache::Value{result.outcomes[m].time,
                                                    result.outcomes[m].memory_accesses});
     }
@@ -646,6 +689,15 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
     local.simd_lanes_active += result.kernel.simd_lanes_active;
   }
   cache.insert_many(inserts);
+  if (duplicates > 0)
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const std::size_t g = group_of[i];
+      if (cached[g].has_value() || representative[g] == i) continue;
+      outcomes[i] = outcomes[representative[g]];
+      // A duplicate's accesses were simulated once, by its representative;
+      // replaying them here keeps the ledger balanced.
+      C2B_COUNTER_ADD("exec.simcache.replayed_accesses", outcomes[i].memory_accesses);
+    }
 
   // Per-point outcomes, emitted serially in point order after the scatter —
   // this is the stream `c2b report` builds its objective heatmap from.
@@ -665,6 +717,7 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
 
   C2B_COUNTER_ADD("exec.batch.classes", local.classes);
   C2B_COUNTER_ADD("exec.batch.members", local.members);
+  C2B_COUNTER_ADD("exec.batch.replayed_configs", local.replayed_configs);
   C2B_COUNTER_ADD("exec.batch.chunks_shared", local.chunks_shared);
   C2B_COUNTER_ADD("exec.batch.regen_avoided_accesses", local.regen_avoided_accesses);
   // exec.batch.simd.* are bumped inside the vectorized kernel itself.

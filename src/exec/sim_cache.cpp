@@ -152,9 +152,9 @@ std::optional<SimCache::Value> SimCache::find(const std::string& key) {
 }
 
 std::vector<std::optional<SimCache::Value>> SimCache::find_many(
-    const std::vector<std::string>& keys, std::uint64_t* disk_hits) {
+    const std::vector<std::string>& keys, std::vector<unsigned char>* from_disk) {
   std::vector<std::optional<Value>> out(keys.size());
-  if (disk_hits != nullptr) *disk_hits = 0;
+  if (from_disk != nullptr) from_disk->assign(keys.size(), 0);
   if (!enabled() || keys.empty()) return out;
 
   std::array<std::vector<std::size_t>, kShardCount> by_shard;
@@ -190,14 +190,16 @@ std::vector<std::optional<SimCache::Value>> SimCache::find_many(
     std::uint64_t disk_found = 0;
     std::uint64_t disk_missed = 0;
     disk->find_many(keys, missed, out, disk_found, disk_missed);
-    if (disk_hits != nullptr) *disk_hits = disk_found;
     if (disk_found > 0) {
       impl_->disk_hits.fetch_add(disk_found, std::memory_order_relaxed);
       C2B_COUNTER_ADD("exec.simcache.disk.hit", static_cast<long long>(disk_found));
       // Promote the disk hits, again one shard lock per shard.
       std::array<std::vector<std::size_t>, kShardCount> promote;
-      for (const std::size_t i : missed)
-        if (out[i].has_value()) promote[Impl::shard_index(keys[i])].push_back(i);
+      for (const std::size_t i : missed) {
+        if (!out[i].has_value()) continue;
+        promote[Impl::shard_index(keys[i])].push_back(i);
+        if (from_disk != nullptr) (*from_disk)[i] = 1;
+      }
       for (std::size_t idx = 0; idx < kShardCount; ++idx) {
         if (promote[idx].empty()) continue;
         Impl::Shard& shard = impl_->shards[idx];

@@ -35,10 +35,13 @@ struct FullDseResult {
   std::vector<double> times;
   std::size_t best_index = 0;
   double best_time = 0.0;
-  std::size_t simulations = 0;     ///< feasible designs actually simulated
+  /// Feasible points resolved by simulation, counting a point whose
+  /// config a sibling point replayed (batch.replayed_configs counts the
+  /// distinct configs).
+  std::size_t simulations = 0;
   std::size_t feasible_count = 0;
-  /// How the batched replay engine covered the sweep (classes, shared
-  /// chunks, sim-cache peels).
+  /// How the batched replay engine covered the sweep (classes, distinct
+  /// configs replayed, shared chunks, sim-cache peels).
   BatchReplayStats batch;
   SurrogateStats surrogate;  ///< all zero unless context.surrogate_enabled
 };

@@ -143,7 +143,12 @@ struct BatchSimOutcome {
 /// are emitted as exec.batch.* telemetry counters).
 struct BatchReplayStats {
   std::size_t classes = 0;     ///< trace-equivalence classes simulated
-  std::size_t members = 0;     ///< design points simulated via batched replay
+  /// Design points resolved by replay in this call, including duplicates
+  /// served by a sibling's replay (points - cache_hits).
+  std::size_t members = 0;
+  /// Distinct configurations (cache keys) actually replayed; the other
+  /// members - replayed_configs points copied a sibling's outcome.
+  std::size_t replayed_configs = 0;
   std::size_t cache_hits = 0;  ///< points peeled off by the sim cache (either tier)
   std::size_t cache_hits_disk = 0;  ///< the subset of cache_hits served from the disk tier
   std::uint64_t chunks_shared = 0;            ///< extra consumers over generated chunks
@@ -157,6 +162,7 @@ struct BatchReplayStats {
   void merge(const BatchReplayStats& other) {
     classes += other.classes;
     members += other.members;
+    replayed_configs += other.replayed_configs;
     cache_hits += other.cache_hits;
     cache_hits_disk += other.cache_hits_disk;
     chunks_shared += other.chunks_shared;
@@ -187,17 +193,21 @@ struct SurrogateStats {
   double mre = 0.0;  ///< final model mean relative error on simulated points
 };
 
-/// Batched evaluation of many design points: sim-cache hits are peeled off
-/// up front, the misses are grouped into trace-equivalence classes (see
-/// trace_class_key), each class generates its streams once into a shared
-/// chunk store, and the members replay them in lockstep
-/// (sim::simulate_system_batched). Classes are split into bounded work
-/// units and scheduled on the exec thread pool; the unit layout is a pure
-/// function of the point list, so results are bit-identical at any thread
-/// count — and bit-identical to calling simulate_design_time per point
-/// (the `batch` oracle family enforces this). Results are bulk-inserted
-/// into the sim cache afterwards; duplicate points in one call are
-/// simulated redundantly rather than cross-hitting mid-sweep.
+/// Batched evaluation of many design points. The points are first grouped
+/// by canonical simulation key: grid points that quantize to the same
+/// simulator config share one key, and equal keys give bit-identical
+/// outcomes, so each distinct config is probed, simulated and inserted
+/// once and its outcome copied to every point that shares it (points of a
+/// uid-less workload have no key and are never merged). Sim-cache hits are
+/// peeled off per key, the missing configs are grouped into
+/// trace-equivalence classes (see trace_class_key), each class generates
+/// its streams once into a shared chunk store, and the members replay them
+/// in lockstep (sim::simulate_system_batched). Classes are split into
+/// bounded work units and scheduled on the exec thread pool; the unit
+/// layout is a pure function of the point list, so results are
+/// bit-identical at any thread count — and bit-identical to calling
+/// simulate_design_time per point (the `batch` oracle family enforces
+/// this). Results are bulk-inserted into the sim cache afterwards.
 std::vector<BatchSimOutcome> simulate_design_times_batched(
     const DseContext& context, const std::vector<std::vector<double>>& points,
     BatchReplayStats* stats = nullptr);
@@ -225,8 +235,9 @@ struct ParetoDseResult {
   std::vector<ConstraintUsage> usage;   ///< one entry per set member, set order
   std::size_t grid_points = 0;          ///< full factorial size
   std::size_t feasible_count = 0;       ///< points passing rob>=issue + the set
-  /// Feasible points actually simulated: == feasible_count for exhaustive
-  /// sweeps, fewer when context.surrogate_enabled pruned classes.
+  /// Feasible points resolved by simulation: == feasible_count for
+  /// exhaustive sweeps, fewer when context.surrogate_enabled pruned
+  /// classes (batch.replayed_configs counts the distinct configs).
   std::size_t simulations = 0;
   BatchReplayStats batch;
   SurrogateStats surrogate;  ///< all zero unless context.surrogate_enabled

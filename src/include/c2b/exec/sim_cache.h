@@ -80,11 +80,11 @@ class SimCache {
   /// residual misses probe the disk tier under one index lock. out[i]
   /// corresponds to keys[i]; empty keys are never probed and return
   /// nullopt without counting. Equivalent to find() per key in order.
-  /// `disk_hits`, when non-null, receives how many of this call's results
-  /// were served from the disk tier (exact per-call attribution, immune to
+  /// `from_disk`, when non-null, is resized to keys.size() and flags each
+  /// result the disk tier served (exact per-call attribution, immune to
   /// concurrent callers moving the global counters).
   std::vector<std::optional<Value>> find_many(const std::vector<std::string>& keys,
-                                              std::uint64_t* disk_hits = nullptr);
+                                              std::vector<unsigned char>* from_disk = nullptr);
 
   void insert(const std::string& key, const Value& value);
 

@@ -84,6 +84,7 @@ RunReport build_report(const std::vector<JournalRecord>& records,
       report.points += record.num("points");
       report.cache_hits += record.num("hits");
       report.cache_hits_disk += record.num("disk_hits");
+      report.duplicates += record.num("duplicates");
     } else if (record.type == "cache_tiers") {
       report.cache_tiers_seen = true;
       report.disk_attached = record.num("disk_attached") != 0.0;
@@ -156,14 +157,16 @@ RunReport build_report(const std::vector<JournalRecord>& records,
   report.class_wall_p90 = exact_quantile(walls, 0.90);
   report.class_wall_p99 = exact_quantile(walls, 0.99);
 
-  if (report.simulated_members > 0.0 && report.cache_hits > 0.0) {
+  if (report.simulated_members > 0.0) {
     const double per_member_ms = report.simulated_wall_ms / report.simulated_members;
     report.est_saved_ms = report.cache_hits * per_member_ms;
     // Attribute savings per tier: a disk hit and a memory hit each peel one
-    // simulation, so the split follows the hit counts.
+    // simulation, so the split follows the hit counts. An in-sweep
+    // duplicate likewise saves one replay.
     const double disk_hits = std::min(report.cache_hits_disk, report.cache_hits);
     report.est_saved_disk_ms = disk_hits * per_member_ms;
     report.est_saved_mem_ms = report.est_saved_ms - report.est_saved_disk_ms;
+    report.est_saved_dedupe_ms = report.duplicates * per_member_ms;
     if (report.simulated_wall_ms > 0.0)
       report.batch_speedup =
           (report.simulated_wall_ms + report.est_saved_ms) / report.simulated_wall_ms;
@@ -223,7 +226,7 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                 report.cache_hits,
                 report.points > 0.0 ? 100.0 * report.cache_hits / report.points : 0.0);
   out += line;
-  std::snprintf(line, sizeof line, "  simulated members      %.0f in %zu classes\n",
+  std::snprintf(line, sizeof line, "  replayed configs       %.0f in %zu classes\n",
                 report.simulated_members, report.classes.size());
   out += line;
   std::snprintf(line, sizeof line, "  chunks shared          %.0f\n",
@@ -244,7 +247,7 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                 format_duration(report.est_saved_ms).c_str(), report.batch_speedup);
   out += line;
 
-  if (report.cache_tiers_seen || report.cache_hits_disk > 0.0) {
+  if (report.cache_tiers_seen || report.cache_hits_disk > 0.0 || report.duplicates > 0.0) {
     out += "\n== cache ==\n";
     std::snprintf(line, sizeof line,
                   "  memory tier            %.0f hits | %.0f entries | %.0f evictions\n",
@@ -267,11 +270,16 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                   "  sweep peels            %.0f from memory, %.0f from disk\n",
                   report.cache_hits - report.cache_hits_disk, report.cache_hits_disk);
     out += line;
-    if (report.est_saved_ms > 0.0) {
+    std::snprintf(line, sizeof line,
+                  "  in-sweep duplicates    %.0f (served by a sibling's replay)\n",
+                  report.duplicates);
+    out += line;
+    if (report.est_saved_ms > 0.0 || report.est_saved_dedupe_ms > 0.0) {
       std::snprintf(line, sizeof line,
-                    "  est. savings by tier   %s memory + %s disk\n",
+                    "  est. savings by tier   %s memory + %s disk + %s in-sweep dedupe\n",
                     format_duration(report.est_saved_mem_ms).c_str(),
-                    format_duration(report.est_saved_disk_ms).c_str());
+                    format_duration(report.est_saved_disk_ms).c_str(),
+                    format_duration(report.est_saved_dedupe_ms).c_str());
       out += line;
     }
     if (report.disk_drops > 0.0) {

@@ -82,9 +82,10 @@ bool build_context(const JobRequest& request, DseContext& context, std::string* 
 std::string batch_json(const BatchReplayStats& batch) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{\"classes\":%zu,\"members\":%zu,\"cache_hits\":%zu,"
-                "\"cache_hits_disk\":%zu}",
-                batch.classes, batch.members, batch.cache_hits, batch.cache_hits_disk);
+                "{\"classes\":%zu,\"members\":%zu,\"replayed_configs\":%zu,"
+                "\"cache_hits\":%zu,\"cache_hits_disk\":%zu}",
+                batch.classes, batch.members, batch.replayed_configs, batch.cache_hits,
+                batch.cache_hits_disk);
   return buf;
 }
 

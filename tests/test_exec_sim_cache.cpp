@@ -173,8 +173,8 @@ TEST(SimCache, FindManyMatchesPerKeyFindAndSkipsEmptyKeys) {
 
   SimCache bulk(64);
   bulk.insert_many(seed);
-  std::uint64_t disk_hits = 123;  // must be zeroed even without a disk tier
-  const auto got = bulk.find_many(probes, &disk_hits);
+  std::vector<unsigned char> from_disk(3, 1);  // must be reset even without a disk tier
+  const auto got = bulk.find_many(probes, &from_disk);
 
   ASSERT_EQ(got.size(), probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -184,7 +184,7 @@ TEST(SimCache, FindManyMatchesPerKeyFindAndSkipsEmptyKeys) {
       EXPECT_EQ(got[i]->memory_accesses, expected[i]->memory_accesses);
     }
   }
-  EXPECT_EQ(disk_hits, 0u);
+  EXPECT_EQ(from_disk, std::vector<unsigned char>(probes.size(), 0));
   // Same telemetry as the per-key path: 4 hits, 1 miss — the two empty
   // probes are never probed and never counted.
   EXPECT_EQ(bulk.stats().hits, per_key.stats().hits);
@@ -278,9 +278,9 @@ TEST_F(SimCacheDiskTest, FindManyAttributesDiskHitsPerCall) {
   cache.flush_disk();
   cache.clear();
 
-  std::uint64_t disk_hits = 0;
-  const auto got = cache.find_many({"a", "", "b", "absent"}, &disk_hits);
-  EXPECT_EQ(disk_hits, 2u);
+  std::vector<unsigned char> from_disk;
+  const auto got = cache.find_many({"a", "", "b", "absent"}, &from_disk);
+  EXPECT_EQ(from_disk, (std::vector<unsigned char>{1, 0, 1, 0}));
   ASSERT_TRUE(got[0].has_value());
   EXPECT_FALSE(got[1].has_value());
   ASSERT_TRUE(got[2].has_value());

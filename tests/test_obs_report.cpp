@@ -136,6 +136,31 @@ TEST(BuildReportTest, AggregatesSyntheticRun) {
   EXPECT_FALSE(report.explored[0].cached);
 }
 
+// In-sweep duplicates are attributed like cache hits: each saves one
+// replay at the measured per-member cost, next to the tier savings.
+TEST(BuildReportTest, AttributesInSweepDedupeSavings) {
+  auto records = synthetic_run();
+  for (JournalRecord& record : records) {
+    if (record.type != "cache_peel") continue;
+    record.numbers["points"] = 13.0;
+    record.numbers["misses"] = 9.0;  // 6 replayed configs + 3 duplicates
+    record.numbers["duplicates"] = 3.0;
+  }
+  const RunReport report = build_report(records);
+  EXPECT_DOUBLE_EQ(report.duplicates, 3.0);
+  // 3 duplicates x (12 ms / 6 replayed configs); the hit savings are unchanged.
+  EXPECT_DOUBLE_EQ(report.est_saved_dedupe_ms, 6.0);
+  EXPECT_DOUBLE_EQ(report.est_saved_ms, 8.0);
+
+  const std::string text = render_report(report);
+  EXPECT_NE(text.find("== cache =="), std::string::npos);
+  EXPECT_NE(text.find("in-sweep duplicates    3"), std::string::npos);
+  EXPECT_NE(text.find("est. savings by tier   8.00 ms memory + 0.00 ms disk + "
+                      "6.00 ms in-sweep dedupe"),
+            std::string::npos);
+  EXPECT_NE(text.find("replayed configs       6 in 3 classes"), std::string::npos);
+}
+
 TEST(BuildReportTest, MidRunJournalFlagged) {
   auto records = synthetic_run();
   records.pop_back();  // drop run_end

@@ -406,11 +406,13 @@ int cmd_simulate(const Args& args) {
 void print_batch_summary(const BatchReplayStats& batch) {
   const exec::SimCacheStats cache = exec::SimCache::global().stats();
   std::printf("cache hits %llu (%llu mem + %llu disk) / misses %llu | "
-              "batch classes %zu (%zu members) | regen avoided %llu accesses\n",
+              "batch classes %zu (%zu members, %zu configs replayed) | "
+              "regen avoided %llu accesses\n",
               static_cast<unsigned long long>(cache.hits + cache.disk_hits),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.disk_hits),
               static_cast<unsigned long long>(cache.misses), batch.classes, batch.members,
+              batch.replayed_configs,
               static_cast<unsigned long long>(batch.regen_avoided_accesses));
   if (exec::SimCache::global().has_disk_tier())
     std::printf("disk tier: %llu hits / %llu misses | %zu entries | "
@@ -450,6 +452,7 @@ void journal_batch_stats(const BatchReplayStats& batch) {
   journal->emit(obs::JournalEvent("batch_stats")
                     .count("classes", batch.classes)
                     .count("members", batch.members)
+                    .count("replayed_configs", batch.replayed_configs)
                     .count("cache_hits", batch.cache_hits)
                     .count("cache_hits_disk", batch.cache_hits_disk)
                     .count("chunks_shared", batch.chunks_shared)
