@@ -1517,12 +1517,26 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
   return report;
 }
 
+std::span<const OracleFamily> oracle_families() {
+  static constexpr OracleFamily kFamilies[] = {
+      {"analytic", run_analytic_vs_sim_oracle},   {"determinism", run_determinism_oracle},
+      {"invariants", run_invariant_oracle},       {"kernel", run_kernel_equivalence_oracle},
+      {"batch", run_batch_equivalence_oracle},    {"simd", run_simd_equivalence_oracle},
+      {"constraint", run_constraint_oracle},      {"surrogate", run_surrogate_oracle},
+      {"cache", run_persistent_cache_oracle}};
+  return kFamilies;
+}
+
+const OracleFamily* find_oracle_family(std::string_view name) {
+  for (const OracleFamily& family : oracle_families())
+    if (name == family.name) return &family;
+  return nullptr;
+}
+
 std::vector<OracleReport> run_all_oracles(const OracleOptions& options) {
-  return {run_analytic_vs_sim_oracle(options),   run_determinism_oracle(options),
-          run_invariant_oracle(options),         run_kernel_equivalence_oracle(options),
-          run_batch_equivalence_oracle(options), run_simd_equivalence_oracle(options),
-          run_constraint_oracle(options),        run_surrogate_oracle(options),
-          run_persistent_cache_oracle(options)};
+  std::vector<OracleReport> reports;
+  for (const OracleFamily& family : oracle_families()) reports.push_back(family.run(options));
+  return reports;
 }
 
 bool write_tolerance_bands_json(const std::string& path,

@@ -60,7 +60,9 @@
 // not run them concurrently with other work in the same process.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "c2b/check/property.h"
@@ -130,6 +132,15 @@ OracleReport run_simd_equivalence_oracle(const OracleOptions& options = {});
 OracleReport run_constraint_oracle(const OracleOptions& options = {});
 OracleReport run_surrogate_oracle(const OracleOptions& options = {});
 OracleReport run_persistent_cache_oracle(const OracleOptions& options = {});
+
+/// A family by the name `c2b check --family` and `c2b serve` check jobs
+/// use ("analytic", "determinism", ..., "cache").
+struct OracleFamily {
+  const char* name;
+  OracleReport (*run)(const OracleOptions& options);
+};
+std::span<const OracleFamily> oracle_families();
+const OracleFamily* find_oracle_family(std::string_view name);
 
 /// All nine families in order; never throws on oracle failure (inspect
 /// the reports).

@@ -162,6 +162,11 @@ std::vector<JournalRecord> read_journal(const std::string& path,
 /// Parse one JSONL line into `out`; false when malformed (torn/corrupt).
 bool parse_journal_line(std::string_view line, JournalRecord& out);
 
+/// `text` escaped for the body of a JSON string (quotes, backslashes,
+/// control bytes as \u00XX) — the one escaper of every JSON writer.
+void append_json_escaped(std::string& out, std::string_view text);
+std::string json_escape(std::string_view text);
+
 // ---------------------------------------------------------------------------
 // Drop counters
 

@@ -1,38 +1,36 @@
 #pragma once
 
-// Job payloads for `c2b serve`: a flat JSON request body is parsed with
-// the journal-line parser (one object per job, same grammar the flight
-// recorder reads back), mapped onto the same DseContext the CLI builds,
-// and executed synchronously on the calling (runner) thread — the sweeps
-// inside fan out on the shared ThreadPool exactly as a CLI run would.
-// Supported types: "dse" (full factorial or --pareto), "aps", "check"
-// (one oracle family).
+// Job payloads for `c2b serve`: a flat JSON body (the journal-line
+// grammar) validated at the boundary — dse/aps keys are exactly the CLI
+// flags, checked by the same request schema (c2b/aps/request.h) — and
+// executed synchronously on the calling (runner) thread; the sweeps inside
+// fan out on the shared ThreadPool exactly as a CLI run would. Types:
+// "dse" (full factorial or pareto), "aps", "check" (one oracle family).
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+
+#include "c2b/aps/request.h"
 
 namespace c2b::serve {
 
 struct JobRequest {
   std::string type;  ///< "dse" | "aps" | "check"
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-
-  double num(const std::string& key, double fallback) const;
-  std::string str(const std::string& key, const std::string& fallback) const;
-  bool flag(const std::string& key) const;  ///< numeric field != 0
-
+  /// dse/aps: the validated request, built exactly as the CLI builds it.
+  std::optional<SweepRequest> sweep;
+  /// check: the oracle family and its seed.
+  std::string family = "invariants";
+  std::uint64_t seed = 42;
   /// How many pool threads this job claims for admission control
-  /// ("threads" field, default 1, clamped to [1, threads_total] by the
-  /// manager). Purely an admission weight: the sweep itself runs on the
-  /// shared work-stealing pool either way.
-  std::size_t threads_share() const;
+  /// ("threads" key, an integer >= 1, default 1; clamped to threads_total
+  /// by the manager). Purely an admission weight: the sweep itself runs on
+  /// the shared work-stealing pool either way.
+  std::size_t threads = 1;
 
-  /// Parses a flat JSON object ({"type":"dse","workload":"stencil",...}).
-  /// nullopt + *error on malformed JSON, missing/unknown type, or an
-  /// unknown workload/family name.
+  /// Parses and validates a flat JSON object ({"type":"dse",...}).
+  /// nullopt + *error on malformed JSON or a bad or unknown key, the error
+  /// naming the key ("instructions: must be ...").
   static std::optional<JobRequest> parse(const std::string& body, std::string* error);
 };
 

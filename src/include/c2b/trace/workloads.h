@@ -8,7 +8,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "c2b/laws/scaling.h"
@@ -75,5 +77,8 @@ WorkloadSpec make_frontier_workload(std::size_t base_vertices = 1 << 15);
 /// The full catalog (used by the APC figure and by tests that sweep
 /// behaviors).
 std::vector<WorkloadSpec> workload_catalog();
+
+/// The catalog workload called `name`, or nullopt.
+std::optional<WorkloadSpec> find_workload(std::string_view name);
 
 }  // namespace c2b

@@ -1,12 +1,12 @@
 #include "c2b/obs/export.h"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "c2b/common/log.h"
+#include "c2b/obs/journal.h"
 
 namespace c2b::obs {
 namespace {
@@ -21,24 +21,6 @@ const char* kind_name(MetricSample::Kind kind) {
       return "histogram";
   }
   return "?";
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
 }
 
 /// JSON has no Inf/NaN literals; metrics should never produce them, but a

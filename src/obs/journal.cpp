@@ -37,21 +37,6 @@ void append_number(std::string& out, double value) {
   out.append(buf, result.ptr);
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-}
-
 #if !defined(C2B_OBS_DISABLED)
 // Thread-local: concurrent jobs (c2b serve) each install their own journal
 // on the thread driving the job; ThreadPool::parallel_for propagates the
@@ -75,7 +60,7 @@ JournalEvent& JournalEvent::str(std::string_view key, std::string_view value) {
   fields_ += ",\"";
   fields_ += key;
   fields_ += "\":\"";
-  append_escaped(fields_, value);
+  append_json_escaped(fields_, value);
   fields_ += '"';
   return *this;
 }
@@ -170,7 +155,7 @@ void RunJournal::emit(const JournalEvent& event) {
   std::string line;
   line.reserve(32 + event.type().size() + event.fields().size());
   line += "{\"type\":\"";
-  append_escaped(line, event.type());
+  append_json_escaped(line, event.type());
   line += "\",\"ts_ms\":";
   append_number(line, ts_ms);
   line += event.fields();
@@ -415,6 +400,27 @@ std::vector<DropCounter> drop_counters(const RunJournal* journal) {
   std::vector<DropCounter> out;
   out.push_back({"obs.span_ring", dropped_trace_events()});
   if (journal != nullptr) out.push_back({"obs.journal", journal->dropped_events()});
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+      out += buf;
+    } else {
+      out += ch;
+    }
+  }
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  append_json_escaped(out, text);
   return out;
 }
 

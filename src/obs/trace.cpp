@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -12,6 +11,7 @@
 #include <sstream>
 
 #include "c2b/common/log.h"
+#include "c2b/obs/journal.h"
 #include "c2b/obs/registry.h"
 
 namespace c2b::obs {
@@ -70,24 +70,6 @@ ThreadBuffer& local_buffer() {
     return b;
   }();
   return *buffer;
-}
-
-std::string json_escape(const char* text) {
-  std::string out;
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char ch = *p;
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -19,33 +19,10 @@
 namespace c2b::serve {
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 HttpResponse json_error(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\":\"" + json_escape(message) + "\"}";
+  response.body = "{\"error\":\"" + obs::json_escape(message) + "\"}";
   return response;
 }
 
@@ -127,7 +104,7 @@ struct Server::Impl {
     auto job = std::make_unique<Job>();
     job->id = jobs.size();
     job->request = std::move(*request);
-    job->share = std::clamp<std::size_t>(job->request.threads_share(), 1,
+    job->share = std::clamp<std::size_t>(job->request.threads, 1,
                                          options.threads_total);
     if (!options.spool_dir.empty())
       job->journal_path =
@@ -220,7 +197,7 @@ struct Server::Impl {
     if (job.state == JobState::kDone || job.state == JobState::kFailed) {
       body += ",\"ok\":" + std::string(job.outcome.ok ? "1" : "0");
       if (!job.outcome.error.empty())
-        body += ",\"error\":\"" + json_escape(job.outcome.error) + "\"";
+        body += ",\"error\":\"" + obs::json_escape(job.outcome.error) + "\"";
       body += ",\"result\":" + job.outcome.result_json;
     }
     body += "}";

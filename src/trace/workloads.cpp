@@ -192,4 +192,10 @@ std::vector<WorkloadSpec> workload_catalog() {
           make_transpose_workload(),     make_frontier_workload()};
 }
 
+std::optional<WorkloadSpec> find_workload(std::string_view name) {
+  for (WorkloadSpec& spec : workload_catalog())
+    if (spec.name == name) return std::move(spec);
+  return std::nullopt;
+}
+
 }  // namespace c2b

@@ -44,16 +44,16 @@ endforeach()
 # The exhaustive path must NOT print surrogate stats: re-run without the
 # flag and make sure the block stays absent (the knob defaults off).
 execute_process(
-  COMMAND "${C2B_BIN}" dse --workload stencil --no-surrogate --progress=0
+  COMMAND "${C2B_BIN}" dse --workload stencil --progress=0
   RESULT_VARIABLE off_rc
   OUTPUT_VARIABLE off_out
   ERROR_VARIABLE off_err)
 if(NOT off_rc EQUAL 0)
-  message(FATAL_ERROR "c2b dse --no-surrogate failed (${off_rc}):\n${off_out}\n${off_err}")
+  message(FATAL_ERROR "c2b dse without --surrogate failed (${off_rc}):\n${off_out}\n${off_err}")
 endif()
 string(FIND "${off_out}" "surrogate" found)
 if(NOT found EQUAL -1)
-  message(FATAL_ERROR "--no-surrogate run still printed surrogate stats:\n${off_out}")
+  message(FATAL_ERROR "run without --surrogate still printed surrogate stats:\n${off_out}")
 endif()
 
 message(STATUS "surrogate smoke OK")

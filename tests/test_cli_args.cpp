@@ -1,6 +1,7 @@
 // Flag-parser tests for the c2b CLI: value/boolean/`=` forms, the
 // optional-value `--progress[=N]` shape, numeric parse errors that name the
-// offending flag, and unknown-flag rejection via finish().
+// offending flag (whole tokens only), unknown-flag rejection via finish(),
+// and the hand-off of the remaining flags to the request schema.
 
 #include "cli_args.h"
 
@@ -84,6 +85,63 @@ TEST(CliArgsTest, NumericErrorsNameTheFlag) {
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("--threads"), std::string::npos);
+  }
+}
+
+TEST(CliArgsTest, PartialNumericTokensAreRejectedNamingTheFlag) {
+  // Every number is consumed whole or rejected: no prefix reads.
+  Argv argv({"c2b", "report", "--top=10x", "--threads=2.5", "--area=3.5e", "--port", "80 ",
+             "--seed=1e300", "--progress=5ms"});
+  Args args(argv.argc(), argv.argv(), 2, {"progress"});
+  const auto rejects = [&](const char* flag, auto query) {
+    try {
+      query();
+      ADD_FAILURE() << "expected a usage error for --" << flag;
+    } catch (const UsageError& error) {
+      EXPECT_NE(std::string(error.what()).find(std::string("--") + flag), std::string::npos)
+          << error.what();
+    }
+  };
+  rejects("top", [&] { return args.get("top", 10LL); });
+  rejects("threads", [&] { return args.get("threads", 0LL); });
+  rejects("area", [&] { return args.get("area", 0.0); });
+  rejects("port", [&] { return args.get("port", 0LL); });
+  rejects("seed", [&] { return args.get("seed", 0LL); });  // beyond 2^53
+  rejects("progress", [&] { return args.get_opt("progress", 500).value_or(0); });
+}
+
+TEST(CliArgsTest, IntegersAcceptExponentForm) {
+  Argv argv({"c2b", "dse", "--threads=4e0", "--poll-ms", "1e3", "--progress=2.5e2"});
+  Args args(argv.argc(), argv.argv(), 2, {"progress"});
+  EXPECT_EQ(args.get("threads", 0LL), 4);
+  EXPECT_EQ(args.get("poll-ms", 0LL), 1000);
+  EXPECT_EQ(args.get_opt("progress", 500), 250);
+  args.finish();
+}
+
+TEST(CliArgsTest, RestHandsEveryUnqueriedFlagToTheRequestSchema) {
+  // CLI-level flags are read first; everything else is a request key,
+  // validated by the shared schema, which names the offending key.
+  {
+    Argv argv({"c2b", "dse", "--threads", "2", "--instructions", "1e6", "--pareto"});
+    Args args(argv.argc(), argv.argv(), 2, {"pareto"});
+    EXPECT_EQ(args.get("threads", 0LL), 2);
+    const SweepRequest request = build_sweep_request(SweepCommand::kDse, args.rest());
+    EXPECT_EQ(request.context.instructions0, 1'000'000u);
+    EXPECT_TRUE(request.pareto);
+    args.finish();  // rest() consumed everything
+  }
+  for (const char* bad : {"--instructions=2.5", "--instructions=-1", "--per-core-cap=0",
+                          "--instuctions=5"}) {
+    Argv argv({"c2b", "dse", bad});
+    Args args(argv.argc(), argv.argv(), 2);
+    const std::string key = std::string(bad).substr(2, std::string(bad).find('=') - 2);
+    try {
+      build_sweep_request(SweepCommand::kDse, args.rest());
+      ADD_FAILURE() << "expected a request error for " << bad;
+    } catch (const RequestError& error) {
+      EXPECT_EQ(error.key(), key) << error.what();
+    }
   }
 }
 
@@ -183,8 +241,8 @@ TEST(CliArgsTest, BudgetFlagsParseValueAndEqualsForms) {
 
 TEST(CliArgsTest, BudgetFlagNumericErrorsNameTheFlag) {
   // Non-numeric budgets must throw naming the offending flag and value —
-  // main() turns that into a clear message and exit 1 (the non-positive
-  // case is validated by the command itself with exit 2).
+  // main() turns that into a usage error, exit 2 (the non-positive case is
+  // rejected by the request schema, also exit 2).
   Argv argv({"c2b", "dse", "--power-budget=cheap", "--bw-budget", "plenty",
              "--noc-budget=wide"});
   Args args(argv.argc(), argv.argv(), 2);

@@ -85,8 +85,34 @@ TEST(ServeSubmit, MalformedAndUnknownBodiesRejected400) {
             400);
   EXPECT_EQ(post(server, "/jobs", R"({"type":"check","family":"no-such-family"})").status,
             400);
+  // Bad values and unknown keys are rejected at the boundary by the request
+  // schema the CLI flags share, and the 400 names the offending key.
+  const struct {
+    const char* body;
+    const char* key;
+  } rejected[] = {
+      {R"({"type":"dse","workload":"stencil","power-budget":-5})", "power-budget"},
+      {R"({"type":"dse","instructions":-1})", "instructions"},
+      {R"({"type":"dse","per-core-cap":0})", "per-core-cap"},
+      {R"({"type":"dse","instructions":1e30})", "instructions"},
+      {R"({"type":"dse","surrogate-band":-3})", "surrogate-band"},
+      {R"({"type":"dse","instuctions":5})", "instuctions"},
+      {R"({"type":"dse","instructions":2.5})", "instructions"},
+      {R"({"type":"aps","radius":0})", "radius"},
+      {R"({"type":"aps","large-axes":1})", "large-axes"},
+      {R"({"type":"dse","threads":0})", "threads"},
+      {R"({"type":"check","family":"invariants","instructions":5})", "instructions"},
+  };
+  for (const auto& entry : rejected) {
+    const auto response = post(server, "/jobs", entry.body);
+    EXPECT_EQ(response.status, 400) << entry.body;
+    EXPECT_NE(response.body.find(std::string("\"error\":\"") + entry.key + ":"),
+              std::string::npos)
+        << response.body;
+  }
   // Nothing above should have reached the queue.
-  EXPECT_NE(get(server, "/stats").body.find("\"queued\":0"), std::string::npos);
+  EXPECT_NE(get(server, "/stats").body.find("\"queued\":0,\"running\":0,\"done\":0"),
+            std::string::npos);
 }
 
 TEST(ServeSubmit, ZeroQueueCapacityRejects429) {
@@ -153,13 +179,13 @@ TEST(ServeJobs, OverwideShareIsClampedAndStillRuns) {
 
 TEST(ServeJobs, FailedJobReportsErrorNotCrash) {
   Server server(ServerOptions{});
-  // Parses fine (valid type/workload) but fails at execution time.
-  const auto response =
-      post(server, "/jobs", R"({"type":"dse","workload":"stencil","power-budget":-5})");
+  // Passes validation (every value in range) but fails at execution time:
+  // an area of 2 leaves no room for any design on the grid.
+  const auto response = post(server, "/jobs", R"({"type":"dse","workload":"stencil","area":2})");
   ASSERT_EQ(response.status, 202) << response.body;
   const auto body = wait_done(server, job_id(response));
   EXPECT_NE(body.find("\"status\":\"failed\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"error\":"), std::string::npos) << body;
+  EXPECT_NE(body.find("no feasible design"), std::string::npos) << body;
 }
 
 TEST(ServeJobs, EventsEndpointStreamsJournalWithFromCursor) {

@@ -16,43 +16,12 @@
 //       Run the cycle-level simulator and print CPI, C-AMAT, APC per layer.
 //   c2b trace --workload <name> --out <file> [--instructions N] [--scale S]
 //       Generate a trace and save it in the binary trace format.
-//   c2b aps [--workload <name>] [--instructions N] [--per-core-cap N]
-//           [--characterize-instructions N] [--radius R] [--area A]
-//           [--shared-area A] [--seed S] [--repeat N]
-//           [--lockstep-records N] [--no-simd]
-//       Run the APS design-space exploration (characterize, analytic
-//       solve, neighborhood simulation) on a small grid and print the
-//       chosen design plus the run's simulation/memory-access totals.
-//       --repeat re-runs the whole flow N times: repeats are served by the
-//       memoized simulation cache and must match the first run bit for bit
-//       (watch exec.simcache.hit in --metrics-out).
-//   c2b dse [--workload <name>] [--instructions N] [--per-core-cap N]
-//           [--area A] [--shared-area A] [--seed S]
-//           [--lockstep-records N] [--no-simd] [--pareto]
-//           [--power-budget P] [--bw-budget B] [--noc-budget L]
-//           [--surrogate | --no-surrogate] [--surrogate-band B]
-//           [--surrogate-warmup N] [--large-axes]
-//       Run the full-factorial DSE (every feasible grid point simulated,
-//       batched over shared trace streams) and print the ground-truth best
-//       design plus the batch/cache effectiveness summary.
-//       --surrogate enables the MLP-guided sweep pruner: trace-equivalence
-//       classes whose predicted best member falls outside the relative
-//       --surrogate-band (default 0.25) of the incumbent are skipped, after
-//       --surrogate-warmup (default 3) exact samples per class seed the
-//       model; a guaranteed exact fallback pass makes the printed optimum
-//       (and the --pareto frontier) simulator ground truth either way.
-//       --large-axes swaps in the Fig.-12-scale preset grid (~10^5 points)
-//       instead of the default smoke-sized grid.
-//       --lockstep-records sets the batched-replay lockstep granularity;
-//       --no-simd forces the scalar lockstep driver (results are identical
-//       either way — both are tuning/escape knobs, shared with `c2b aps`).
-//       --power-budget / --bw-budget / --noc-budget (all > 0; also accepted
-//       by `c2b aps`) add power, off-chip-bandwidth, and NoC-bisection
-//       ceilings to the Eq. (12) area constraint; infeasible points are
-//       never simulated. --pareto switches to the Pareto-frontier mode:
-//       every feasible point is swept with the same batched engine and the
-//       non-dominated (time, power, area) set is printed along with
-//       per-constraint rejection/binding statistics.
+//   c2b aps [flags]       (see `c2b aps --help`)
+//       Run APS (characterize, analytic solve, neighborhood simulation) on
+//       a small grid and print the chosen design and simulation totals.
+//   c2b dse [flags]       (see `c2b dse --help`)
+//       Run the full-factorial (or surrogate-pruned, or Pareto) DSE and
+//       print the ground-truth best design and the batch/cache summary.
 //   c2b report --journal <file> [--top K] [--heatmap-out <csv>]
 //       Replay a run journal (see --journal-out) into a post-mortem: phase
 //       time breakdown, cache/batch effectiveness, top-K slowest trace
@@ -80,16 +49,12 @@
 //       an ephemeral port, written to --port-file for scripts. --cache-dir
 //       attaches the persistent sim-cache tier (same as C2B_SIM_CACHE_DIR),
 //       so every job warm-starts from all previous runs.
-//   c2b submit --port P [--type dse|aps|check] [--workload <name>]
-//              [--family <oracle>] [--instructions N] [--per-core-cap N]
-//              [--area A] [--shared-area A] [--seed S] [--radius R]
-//              [--characterize-instructions N] [--large-axes] [--pareto]
-//              [--surrogate] [--job-threads N] [--body <json>]
-//              [--wait] [--poll-ms N]
-//       Submit one job to a running `c2b serve` and print the job id.
-//       Flags assemble the JSON body (--body overrides with raw JSON);
-//       --job-threads is the job's admission weight. --wait polls the
-//       status endpoint until the job finishes and prints the result.
+//   c2b submit --port P [--type dse|aps|check] [keys of that job type]
+//              [--job-threads N] [--body <json>] [--wait] [--poll-ms N]
+//       Submit one job to a running `c2b serve` and print the job id. The
+//       job keys are the `c2b dse`/`c2b aps --help` flags (or --family,
+//       --seed for check); --body sends raw JSON instead. --wait polls
+//       until the job finishes and prints the result.
 //   c2b fetch --port P [--path /metrics] [--post]
 //       One-shot HTTP helper against a running daemon: GET (or POST) the
 //       path and print the response body (e.g. /metrics, /stats,
@@ -111,10 +76,9 @@
 //                          wall-clock attribution summary at end of run
 //
 // Every command prints plain text to stdout; exit code 0 on success.
-// Unknown flags are an error: each command lists them and exits nonzero.
+// A malformed or unknown flag is a usage error: exit 2, naming the flag.
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -123,6 +87,7 @@
 #include <thread>
 
 #include "c2b/aps/aps.h"
+#include "c2b/aps/request.h"
 #include "c2b/aps/characterize.h"
 #include "c2b/check/oracles.h"
 #include "c2b/core/asymmetric.h"
@@ -150,34 +115,25 @@ int usage() {
   std::fprintf(stderr,
                "usage: c2b <command> [flags]\n"
                "commands: workloads | characterize | optimize | simulate | trace | aps | dse | report | check | serve | submit | fetch\n"
-               "run `c2b <command> --help` is not needed — see the header of\n"
-               "tools/c2b_cli.cpp or README.md for the flag lists.\n");
+               "`c2b dse --help` and `c2b aps --help` list the sweep flags; see\n"
+               "README.md for the other commands.\n");
   return 2;
 }
 
-const WorkloadSpec* find_workload(const std::vector<WorkloadSpec>& catalog,
-                                  const std::string& name) {
-  for (const WorkloadSpec& spec : catalog)
-    if (spec.name == name) return &spec;
-  return nullptr;
+/// The catalog workload named by --workload.
+WorkloadSpec workload_flag(const Args& args, const char* fallback) {
+  const std::string name = args.get("workload", std::string(fallback));
+  if (auto spec = find_workload(name)) return *std::move(spec);
+  throw UsageError("--workload: unknown workload '" + name + "' (see `c2b workloads`)");
 }
 
 ScalingFunction parse_g(const std::string& text) {
+  const auto tail = [&](std::size_t prefix) { return parse_number(text.substr(prefix)); };
   if (text == "fixed") return ScalingFunction::fixed();
   if (text == "linear") return ScalingFunction::linear();
-  if (text.rfind("power:", 0) == 0) return ScalingFunction::power(std::stod(text.substr(6)));
-  if (text.rfind("fft:", 0) == 0) return ScalingFunction::fft_like(std::stod(text.substr(4)));
-  throw std::invalid_argument("unknown g(N) spec '" + text +
-                              "' (want fixed|linear|power:<b>|fft:<M>)");
-}
-
-sim::SystemConfig default_system() {
-  sim::SystemConfig config;
-  config.hierarchy.l1_geometry = {.size_bytes = 16 * 1024, .line_bytes = 64,
-                                  .associativity = 4};
-  config.hierarchy.l2_geometry = {.size_bytes = 512 * 1024, .line_bytes = 64,
-                                  .associativity = 8};
-  return config;
+  if (text.rfind("power:", 0) == 0 && tail(6)) return ScalingFunction::power(*tail(6));
+  if (text.rfind("fft:", 0) == 0 && tail(4)) return ScalingFunction::fft_like(*tail(4));
+  throw UsageError("--g '" + text + "' is unknown (want fixed|linear|power:<b>|fft:<M>)");
 }
 
 // ---------------------------------------------------------------------------
@@ -193,13 +149,7 @@ int cmd_workloads(const Args& args) {
 }
 
 int cmd_characterize(const Args& args) {
-  const std::string name = args.get("workload", std::string("fluidanimate_like"));
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
+  const WorkloadSpec spec = workload_flag(args, "fluidanimate_like");
   CharacterizeOptions options;
   options.instructions =
       static_cast<std::uint64_t>(args.get("instructions", 200'000LL));
@@ -207,8 +157,8 @@ int cmd_characterize(const Args& args) {
   args.mark_used("simpoints");
   args.finish();
 
-  const Characterization c = characterize(*spec, default_system(), options);
-  std::printf("workload: %s (%s)\n", spec->name.c_str(), spec->emulates.c_str());
+  const Characterization c = characterize(spec, baseline_system(), options);
+  std::printf("workload: %s (%s)\n", spec.name.c_str(), spec.emulates.c_str());
   std::printf("simulated %zu instructions in %zu runs\n\n", c.simulated_instructions,
               c.simulation_runs);
   std::printf("f_mem                 %8.3f\n", c.app.f_mem);
@@ -288,10 +238,7 @@ int cmd_optimize(const Args& args) {
     if (objective == "energy") parsed = DesignObjective::kEnergy;
     else if (objective == "edp") parsed = DesignObjective::kEdp;
     else if (objective == "ed2p") parsed = DesignObjective::kEd2p;
-    else {
-      std::fprintf(stderr, "unknown objective '%s'\n", objective.c_str());
-      return 2;
-    }
+    else throw UsageError("--objective '" + objective + "' is unknown");
     const EnergyAwareOptimizer optimizer(
         EnergyAwareModel(C2BoundModel(app, machine), EnergyModel{}), options);
     const EnergyOptimum result = optimizer.optimize(parsed);
@@ -332,15 +279,9 @@ int cmd_optimize(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  const std::string name = args.get("workload", std::string("stencil"));
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
+  const WorkloadSpec spec = workload_flag(args, "stencil");
 
-  sim::SystemConfig config = default_system();
+  sim::SystemConfig config = baseline_system();
   const auto cores = static_cast<std::uint32_t>(args.get("cores", 1LL));
   config.hierarchy.cores = cores;
   config.hierarchy.l1_geometry.size_bytes =
@@ -354,20 +295,17 @@ int cmd_simulate(const Args& args) {
   const std::string prefetch = args.get("prefetch", std::string("none"));
   if (prefetch == "nextline") config.hierarchy.l1_prefetch.kind = sim::PrefetchKind::kNextLine;
   else if (prefetch == "stride") config.hierarchy.l1_prefetch.kind = sim::PrefetchKind::kStride;
-  else if (prefetch != "none") {
-    std::fprintf(stderr, "unknown prefetch kind '%s'\n", prefetch.c_str());
-    return 2;
-  }
+  else if (prefetch != "none") throw UsageError("--prefetch '" + prefetch + "' is unknown");
   const auto instructions =
       static_cast<std::uint64_t>(args.get("instructions", 100'000LL));
   args.finish();
 
   std::vector<Trace> traces;
   for (std::uint32_t c = 0; c < cores; ++c)
-    traces.push_back(spec->make_generator(1.0, 7 + c)->generate(instructions));
+    traces.push_back(spec.make_generator(1.0, 7 + c)->generate(instructions));
   const sim::SystemResult result = sim::simulate_system(config, traces);
 
-  std::printf("workload %s on %u core(s), %llu instructions each\n", spec->name.c_str(),
+  std::printf("workload %s on %u core(s), %llu instructions each\n", spec.name.c_str(),
               cores, static_cast<unsigned long long>(instructions));
   std::printf("makespan          %llu cycles (aggregate IPC %.3f)\n",
               static_cast<unsigned long long>(result.cycles), result.aggregate_ipc());
@@ -428,24 +366,6 @@ void print_batch_summary(const BatchReplayStats& batch) {
                 static_cast<unsigned long long>(batch.simd_lanes_active));
 }
 
-/// Journal the sweep configuration (full context + workload uid) before the
-/// run and the batch totals after — the pair `c2b report` attributes
-/// cache/batch effectiveness from.
-void journal_sweep_config(const char* command, const DseContext& context,
-                          std::size_t grid_points) {
-  if (auto* journal = obs::active_journal())
-    journal->emit(obs::JournalEvent("sweep_config")
-                      .str("command", command)
-                      .str("workload", context.workload.name)
-                      .str("workload_uid", context.workload.uid)
-                      .count("instructions", context.instructions0)
-                      .count("per_core_cap", context.per_core_cap)
-                      .num("area", context.chip.total_area)
-                      .num("shared_area", context.chip.shared_area)
-                      .count("seed", context.seed)
-                      .count("grid_points", grid_points));
-}
-
 void journal_batch_stats(const BatchReplayStats& batch) {
   auto* journal = obs::active_journal();
   if (journal == nullptr) return;
@@ -477,77 +397,27 @@ void journal_batch_stats(const BatchReplayStats& batch) {
                     .count("disk_drops", cache.disk_drops));
 }
 
-/// Shared `--lockstep-records` / `--no-simd` handling for the sweep
-/// commands. Returns false (after printing an error) on a bad value.
-bool apply_batch_flags(const Args& args, const char* command, DseContext& context) {
-  if (const auto lockstep = args.get_opt("lockstep-records",
-                                         static_cast<long long>(context.lockstep_records))) {
-    if (*lockstep < 1) {
-      std::fprintf(stderr, "%s: --lockstep-records must be >= 1\n", command);
-      return false;
-    }
-    context.lockstep_records = static_cast<std::uint64_t>(*lockstep);
-  }
-  context.use_simd = args.get("no-simd", std::string("false")) != "true";
-  return true;
+/// `c2b dse --help` / `c2b aps --help`: the request table plus the
+/// CLI-only flags.
+int print_sweep_help(SweepCommand command) {
+  std::printf("%sCLI-only flags, results unchanged: --lockstep-records <n> (>= 1), --no-simd,\n"
+              "--threads <n>%s\n",
+              request_help(command).c_str(),
+              command == SweepCommand::kAps ? ", --repeat <n> (repeats must match)" : "");
+  return 0;
 }
 
-/// Shared `--power-budget` / `--bw-budget` / `--noc-budget` handling for
-/// the sweep commands. Unset flags leave the budget infinite (constraint
-/// not assembled); set values must be finite and > 0 — zero, negative, and
-/// NaN budgets are rejected here with a clear message (non-numeric text is
-/// rejected by the parser itself), exit nonzero either way.
-bool apply_constraint_flags(const Args& args, const char* command, DseContext& context) {
-  const struct {
-    const char* flag;
-    double* budget;
-  } budgets[] = {{"power-budget", &context.power_budget},
-                 {"bw-budget", &context.bw_budget},
-                 {"noc-budget", &context.noc_budget}};
-  for (const auto& entry : budgets) {
-    if (!args.has(entry.flag)) continue;
-    const double value = args.get(entry.flag, 0.0);
-    if (!(value > 0.0) || !std::isfinite(value)) {
-      std::fprintf(stderr, "%s: --%s must be a finite value > 0\n", command, entry.flag);
-      return false;
-    }
-    *entry.budget = value;
-  }
-  return true;
-}
-
-/// Shared `--surrogate` / `--no-surrogate` / `--surrogate-band` /
-/// `--surrogate-warmup` handling for the sweep commands. The two boolean
-/// flags are mutually exclusive; the band must be finite and >= 0 and the
-/// warmup >= 1 (non-numeric text is rejected by the parser itself). Returns
-/// false after printing an error, exit nonzero either way.
-bool apply_surrogate_flags(const Args& args, const char* command, DseContext& context) {
-  const bool on = args.get("surrogate", std::string("false")) == "true";
-  const bool off = args.get("no-surrogate", std::string("false")) == "true";
-  if (on && off) {
-    std::fprintf(stderr, "%s: --surrogate and --no-surrogate are mutually exclusive\n",
-                 command);
-    return false;
-  }
-  if (on) context.surrogate_enabled = true;
-  if (off) context.surrogate_enabled = false;
-  if (args.has("surrogate-band")) {
-    const double band = args.get("surrogate-band", 0.0);
-    if (!(band >= 0.0) || !std::isfinite(band)) {
-      std::fprintf(stderr, "%s: --surrogate-band must be a finite value >= 0\n", command);
-      return false;
-    }
-    context.surrogate_band = band;
-  }
-  if (args.has("surrogate-warmup")) {
-    const auto warmup = args.get("surrogate-warmup", 0LL);
-    if (warmup < 1) {
-      std::fprintf(stderr, "%s: --surrogate-warmup must be >= 1\n", command);
-      return false;
-    }
-    context.surrogate_warmup = static_cast<std::size_t>(warmup);
-  }
-  return true;
+/// Reads the sweep commands' CLI-only tuning flags, then builds the request
+/// from every other flag through the shared schema (c2b/aps/request.h).
+SweepRequest sweep_request(const Args& args, SweepCommand command) {
+  const bool has_lockstep = args.has("lockstep-records");
+  const long long lockstep = args.get("lockstep-records", 1LL);
+  if (lockstep < 1) throw UsageError("--lockstep-records must be >= 1");
+  const bool use_simd = args.get("no-simd", std::string("false")) != "true";
+  SweepRequest request = build_sweep_request(command, args.rest());
+  if (has_lockstep) request.context.lockstep_records = static_cast<std::uint64_t>(lockstep);
+  request.context.use_simd = use_simd;
+  return request;
 }
 
 void print_surrogate_summary(const SurrogateStats& stats) {
@@ -570,49 +440,16 @@ void print_surrogate_summary(const SurrogateStats& stats) {
 }
 
 int cmd_aps(const Args& args) {
-  const std::string name = args.get("workload", std::string("stencil"));
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
+  if (args.has("help")) return print_sweep_help(SweepCommand::kAps);
+  const long long repeat = args.get("repeat", 1LL);
+  if (repeat < 1) throw UsageError("--repeat must be >= 1");
+  const SweepRequest request = sweep_request(args, SweepCommand::kAps);
+  const DseContext& context = request.context;
+  const ApsOptions& options = request.aps;
+  const WorkloadSpec& spec = context.workload;
 
-  DseContext context;
-  context.base = default_system();
-  context.workload = *spec;
-  context.instructions0 = static_cast<std::uint64_t>(args.get("instructions", 20'000LL));
-  context.per_core_cap = static_cast<std::uint64_t>(args.get("per-core-cap", 10'000LL));
-  context.chip.total_area = args.get("area", 9.0);
-  context.chip.shared_area = args.get("shared-area", 1.0);
-  context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_batch_flags(args, "aps", context)) return 2;
-  if (!apply_constraint_flags(args, "aps", context)) return 2;
-
-  // A small buildable grid (the paper-scale space is bench territory; the
-  // CLI command is for inspecting one APS run end to end).
-  DseAxes axes;
-  axes.a0 = {1.0, 4.0};
-  axes.a1 = {0.5, 1.0};
-  axes.a2 = {1.0, 2.0};
-  axes.n = {1, 2};
-  axes.issue = {2, 4};
-  axes.rob = {32, 64};
-
-  ApsOptions options;
-  options.neighborhood_radius =
-      static_cast<std::size_t>(args.get("radius", 1LL));
-  options.characterize.instructions =
-      static_cast<std::uint64_t>(args.get("characterize-instructions", 60'000LL));
-  const auto repeat = args.get("repeat", 1LL);
-  args.finish();
-  if (repeat < 1) {
-    std::fprintf(stderr, "aps: --repeat must be >= 1\n");
-    return 2;
-  }
-
-  const GridSpace space = make_design_space(axes);
-  journal_sweep_config("aps", context, space.size());
+  const GridSpace space = make_design_space(request.axes);
+  journal_sweep_config(request, space.size());
   ApsResult aps = run_aps(context, space, options);
   // Re-running the same neighborhood hits the memoized simulation cache;
   // every repeat must reproduce the first result bit for bit (the
@@ -626,8 +463,8 @@ int cmd_aps(const Args& args) {
     }
   }
 
-  std::printf("APS on workload %s (%s), %zu-point grid\n", spec->name.c_str(),
-              spec->emulates.c_str(), space.size());
+  std::printf("APS on workload %s (%s), %zu-point grid\n", spec.name.c_str(),
+              spec.emulates.c_str(), space.size());
   std::printf("characterize: CPI %.3f (CPI_exe %.3f), f_mem %.3f, C-AMAT %.3f\n",
               aps.characterization.measured_cpi, aps.characterization.cpi_exe,
               aps.characterization.app.f_mem, aps.characterization.camat.camat_value);
@@ -649,52 +486,18 @@ int cmd_aps(const Args& args) {
 }
 
 int cmd_dse(const Args& args) {
-  const std::string name = args.get("workload", std::string("stencil"));
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
+  if (args.has("help")) return print_sweep_help(SweepCommand::kDse);
+  const SweepRequest request = sweep_request(args, SweepCommand::kDse);
+  const DseContext& context = request.context;
+  const WorkloadSpec& spec = context.workload;
 
-  DseContext context;
-  context.base = default_system();
-  context.workload = *spec;
-  context.instructions0 = static_cast<std::uint64_t>(args.get("instructions", 20'000LL));
-  context.per_core_cap = static_cast<std::uint64_t>(args.get("per-core-cap", 10'000LL));
-  context.chip.total_area = args.get("area", 9.0);
-  context.chip.shared_area = args.get("shared-area", 1.0);
-  context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_batch_flags(args, "dse", context)) return 2;
-  if (!apply_constraint_flags(args, "dse", context)) return 2;
-  if (!apply_surrogate_flags(args, "dse", context)) return 2;
-  const bool pareto = args.has("pareto");
-  args.mark_used("pareto");
-  const bool large_axes = args.get("large-axes", std::string("false")) == "true";
-  args.finish();
+  const GridSpace space = make_design_space(request.axes);
+  journal_sweep_config(request, space.size());
 
-  // Same small buildable grid as `c2b aps`, so the two commands are directly
-  // comparable (full factorial here vs analytic narrowing there).
-  // --large-axes swaps in the Fig.-12-scale preset instead.
-  DseAxes axes;
-  if (large_axes) {
-    axes = make_large_axes();
-  } else {
-    axes.a0 = {1.0, 4.0};
-    axes.a1 = {0.5, 1.0};
-    axes.a2 = {1.0, 2.0};
-    axes.n = {1, 2};
-    axes.issue = {2, 4};
-    axes.rob = {32, 64};
-  }
-
-  const GridSpace space = make_design_space(axes);
-  journal_sweep_config("dse", context, space.size());
-
-  if (pareto) {
+  if (request.pareto) {
     const ParetoDseResult result = run_pareto_dse(context, space);
-    std::printf("Pareto DSE on workload %s (%s), %zu-point grid\n", spec->name.c_str(),
-                spec->emulates.c_str(), space.size());
+    std::printf("Pareto DSE on workload %s (%s), %zu-point grid\n", spec.name.c_str(),
+                spec.emulates.c_str(), space.size());
     std::printf("feasible          %zu of %zu points\n", result.feasible_count,
                 result.grid_points);
     std::printf("frontier          %zu non-dominated design(s) (time, power, area)\n",
@@ -719,7 +522,7 @@ int cmd_dse(const Args& args) {
   const FullDseResult full = run_full_dse(context, space);
 
   std::printf("full-factorial DSE on workload %s (%s), %zu-point grid\n",
-              spec->name.c_str(), spec->emulates.c_str(), space.size());
+              spec.name.c_str(), spec.emulates.c_str(), space.size());
   const std::vector<double> best = space.point(full.best_index);
   std::printf("best design: a0 %.2f | a1 %.2f | a2 %.2f | N %.0f | issue %.0f | rob %.0f\n",
               best[kAxisA0], best[kAxisA1], best[kAxisA2], best[kAxisN],
@@ -738,14 +541,8 @@ int cmd_report(const Args& args) {
   const auto top_k = args.get("top", 10LL);
   const std::string heatmap_out = args.get("heatmap-out", std::string(""));
   args.finish();
-  if (journal_path.empty()) {
-    std::fprintf(stderr, "report: --journal <file> is required\n");
-    return 2;
-  }
-  if (top_k < 1) {
-    std::fprintf(stderr, "report: --top must be >= 1\n");
-    return 2;
-  }
+  if (journal_path.empty()) throw UsageError("--journal <file> is required");
+  if (top_k < 1) throw UsageError("--top must be >= 1");
 
   obs::JournalReadStats stats;
   const std::vector<obs::JournalRecord> records = obs::read_journal(journal_path, &stats);
@@ -775,26 +572,17 @@ int cmd_report(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const std::string name = args.get("workload", std::string("stencil"));
+  const WorkloadSpec spec = workload_flag(args, "stencil");
   const std::string out = args.get("out", std::string(""));
-  if (out.empty()) {
-    std::fprintf(stderr, "trace: --out <file> is required\n");
-    return 2;
-  }
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
+  if (out.empty()) throw UsageError("--out <file> is required");
   const auto instructions =
       static_cast<std::uint64_t>(args.get("instructions", 100'000LL));
   const double scale = args.get("scale", 1.0);
   const auto seed = static_cast<std::uint64_t>(args.get("seed", 1LL));
   args.finish();
 
-  Trace trace = spec->make_generator(scale, seed)->generate(instructions);
-  trace.name = spec->name;
+  Trace trace = spec.make_generator(scale, seed)->generate(instructions);
+  trace.name = spec.name;
   save_trace(out, trace);
   std::printf("wrote %llu records (%llu distinct lines, f_mem %.3f) to %s\n",
               static_cast<unsigned long long>(trace.records.size()),
@@ -824,29 +612,13 @@ int cmd_check(const Args& args) {
   std::vector<check::OracleReport> reports;
   if (family == "all") {
     reports = check::run_all_oracles(options);
-  } else if (family == "analytic") {
-    reports.push_back(check::run_analytic_vs_sim_oracle(options));
-  } else if (family == "determinism") {
-    reports.push_back(check::run_determinism_oracle(options));
-  } else if (family == "invariants") {
-    reports.push_back(check::run_invariant_oracle(options));
-  } else if (family == "kernel") {
-    reports.push_back(check::run_kernel_equivalence_oracle(options));
-  } else if (family == "batch") {
-    reports.push_back(check::run_batch_equivalence_oracle(options));
-  } else if (family == "simd") {
-    reports.push_back(check::run_simd_equivalence_oracle(options));
-  } else if (family == "constraint") {
-    reports.push_back(check::run_constraint_oracle(options));
-  } else if (family == "surrogate") {
-    reports.push_back(check::run_surrogate_oracle(options));
-  } else if (family == "cache") {
-    reports.push_back(check::run_persistent_cache_oracle(options));
+  } else if (const check::OracleFamily* one = check::find_oracle_family(family)) {
+    reports.push_back(one->run(options));
   } else {
-    std::fprintf(stderr,
-                 "check: unknown --family '%s' (want all|analytic|determinism|invariants|kernel|batch|simd|constraint|surrogate|cache)\n",
-                 family.c_str());
-    return 2;
+    std::string names = "all";
+    for (const check::OracleFamily& known : check::oracle_families())
+      names += std::string("|") + known.name;
+    throw UsageError("--family '" + family + "' is unknown (want " + names + ")");
   }
 
   bool all_passed = true;
@@ -913,41 +685,26 @@ int cmd_serve(const Args& args) {
 int cmd_submit(const Args& args) {
   const std::string host = args.get("host", std::string("127.0.0.1"));
   const int port = static_cast<int>(args.get("port", 0LL));
-  std::string body = args.get("body", std::string(""));
-  if (body.empty()) {
-    // Assemble the flat JSON job body from flags; only flags actually
-    // given are serialized, so server-side defaults stay in one place.
-    body = "{\"type\":\"" + args.get("type", std::string("dse")) + "\"";
-    for (const char* key : {"workload", "family"})
-      if (args.has(key)) body += ",\"" + std::string(key) + "\":\"" + args.get(key, std::string("")) + "\"";
-    for (const char* key :
-         {"instructions", "per-core-cap", "area", "shared-area", "seed", "radius",
-          "characterize-instructions", "power-budget", "bw-budget", "noc-budget",
-          "surrogate-band", "surrogate-warmup"})
-      if (args.has(key)) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", args.get(key, 0.0));
-        body += ",\"" + std::string(key) + "\":" + buf;
-      }
-    for (const char* key : {"large-axes", "pareto", "surrogate"})
-      if (args.get(key, std::string("false")) == "true")
-        body += ",\"" + std::string(key) + "\":1";
-    if (args.has("job-threads"))
-      body += ",\"threads\":" + std::to_string(args.get("job-threads", 1LL));
-    body += "}";
-  } else {
-    // A raw body overrides the assembler; still mark the flags used so
-    // finish() does not reject mixed invocations.
-    for (const char* key : {"type", "workload", "family", "job-threads"})
-      (void)args.get(key, std::string(""));
-  }
   const bool wait = args.get("wait", std::string("false")) == "true";
   const long long poll_ms = args.get("poll-ms", 200LL);
-  args.finish();
-  if (port <= 0) {
-    std::fprintf(stderr, "submit: --port is required (see `c2b serve --port-file`)\n");
-    return 2;
+  std::string body = args.get("body", std::string(""));
+  if (body.empty()) {
+    // Every other flag is a job key, sent as the text the flag carried
+    // (the server parses a JSON string exactly like flag text). dse/aps
+    // keys are checked here first, by the schema the server applies.
+    const std::string type = args.get("type", std::string("dse"));
+    const bool has_threads = args.has("job-threads");
+    const long long threads = args.get("job-threads", 1LL);
+    const RequestFields fields = args.rest();
+    if (const auto command = parse_sweep_command(type)) build_sweep_request(*command, fields);
+    body = "{\"type\":\"" + type + "\"";
+    for (const auto& [key, value] : fields)
+      body += ",\"" + key + "\":\"" + std::get<std::string>(value) + "\"";
+    if (has_threads) body += ",\"threads\":" + std::to_string(threads);
+    body += "}";
   }
+  args.finish();
+  if (port <= 0) throw UsageError("--port is required (see `c2b serve --port-file`)");
 
   std::string error;
   const auto response = serve::http_request(host, port, "POST", "/jobs", body, &error);
@@ -956,7 +713,10 @@ int cmd_submit(const Args& args) {
     return 1;
   }
   std::printf("%s\n", response->body.c_str());
-  if (response->status >= 300) return 1;
+  if (response->status >= 300) {
+    std::fprintf(stderr, "submit: HTTP %d\n", response->status);
+    return 1;
+  }
   if (!wait) return 0;
 
   const std::size_t id_pos = response->body.find("\"id\":");
@@ -985,10 +745,7 @@ int cmd_fetch(const Args& args) {
   const std::string target = args.get("path", std::string("/metrics"));
   const bool post = args.get("post", std::string("false")) == "true";
   args.finish();
-  if (port <= 0) {
-    std::fprintf(stderr, "fetch: --port is required\n");
-    return 2;
-  }
+  if (port <= 0) throw UsageError("--port is required");
   std::string error;
   const auto response =
       serve::http_request(host, port, post ? "POST" : "GET", target, {}, &error);
@@ -1014,19 +771,16 @@ struct RecorderSession {
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const std::set<std::string> boolean_flags{"simpoints",  "asymmetric",   "coherence",
-                                            "progress",   "no-simd",      "pareto",
-                                            "surrogate",  "no-surrogate", "large-axes",
-                                            "wait",       "post"};
+  std::set<std::string> boolean_flags{"simpoints", "asymmetric", "coherence", "progress",
+                                      "no-simd",   "wait",       "post",      "help"};
+  for (const RequestParam& param : request_params())
+    if (param.type == ParamType::kFlag) boolean_flags.insert(param.name);
   const Args args(argc, argv, 2, boolean_flags);
 
   // Cross-command flags; read before dispatch so the per-command finish()
   // does not reject them as unknown.
   const auto threads = args.get("threads", 0LL);
-  if (threads < 0) {
-    std::fprintf(stderr, "c2b: --threads must be >= 1\n");
-    return 2;
-  }
+  if (threads < 0) throw UsageError("--threads must be >= 1");
   if (threads > 0) exec::set_thread_count(static_cast<std::size_t>(threads));
   const std::string metrics_out = args.get("metrics-out", std::string(""));
   const std::string trace_out = args.get("trace-out", std::string(""));
@@ -1128,6 +882,12 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return c2b::cli::run(argc, argv);
+  } catch (const c2b::RequestError& error) {
+    std::fprintf(stderr, "c2b %s: --%s\n", argv[1], error.what());
+    return 2;
+  } catch (const c2b::cli::UsageError& error) {
+    std::fprintf(stderr, "c2b %s: %s\n", argv[1], error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "c2b: %s\n", error.what());
     return 1;
