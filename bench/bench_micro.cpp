@@ -13,6 +13,7 @@
 #include "c2b/ann/mlp.h"
 #include "c2b/aps/dse.h"
 #include "c2b/common/rng.h"
+#include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
 #include "c2b/linalg/matrix.h"
 #include "c2b/obs/journal.h"
@@ -268,6 +269,7 @@ BENCHMARK(bm_simulate_system_obs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 /// simulator hot loop, printed before the google-benchmark cases so the
 /// headline number (<2% target) is always visible.
 void report_obs_overhead() {
+  constexpr int kToggleRounds = 61;
   sim::SystemConfig config;
   config.hierarchy.cores = 4;
   config.hierarchy.noc.nodes = 4;
@@ -280,34 +282,88 @@ void report_obs_overhead() {
   }
 
   using clock = std::chrono::steady_clock;
-  auto run_once = [&] {
+  auto seconds_of = [](auto&& body) {
     const auto begin = clock::now();
-    benchmark::DoNotOptimize(sim::simulate_system(config, traces).cycles);
+    body();
     return std::chrono::duration<double>(clock::now() - begin).count();
   };
+  // A/B in interleaved rounds, so frequency drift and neighbour load hit
+  // both modes alike, after one warm-up run of each (caches, registry
+  // slots, trace buffers). Returns each mode's minimum, the classic
+  // noise-robust estimator, as {a, b}.
+  auto min_of_interleaved = [](int rounds, auto&& run_a, auto&& run_b) {
+    run_a();
+    run_b();
+    std::pair<double, double> best{1e9, 1e9};
+    for (int r = 0; r < rounds; ++r) {
+      best.first = std::min(best.first, run_a());
+      best.second = std::min(best.second, run_b());
+    }
+    return best;
+  };
+  auto with_telemetry = [](bool on, auto&& run) {
+    return [on, &run] {
+      obs::set_enabled(on);
+      const double seconds = run();
+      obs::set_enabled(true);
+      return seconds;
+    };
+  };
 
-  // Warm up caches, registry slots, and trace buffers.
-  obs::set_enabled(true);
-  run_once();
-  obs::set_enabled(false);
-  run_once();
-
-  // Interleave the two modes so frequency drift hits both equally; keep the
-  // per-mode minimum (the classic noise-robust estimator).
-  constexpr int kRounds = 15;
-  double best_on = 1e9, best_off = 1e9;
-  for (int r = 0; r < kRounds; ++r) {
-    obs::set_enabled(true);
-    best_on = std::min(best_on, run_once());
-    obs::set_enabled(false);
-    best_off = std::min(best_off, run_once());
-  }
-  obs::set_enabled(true);
-
+  auto run_once = [&] {
+    return seconds_of(
+        [&] { benchmark::DoNotOptimize(sim::simulate_system(config, traces).cycles); });
+  };
+  const auto [best_on, best_off] = min_of_interleaved(
+      kToggleRounds, with_telemetry(true, run_once), with_telemetry(false, run_once));
   const double overhead = (best_on - best_off) / best_off * 100.0;
   std::printf("telemetry overhead on simulate_system (4 cores, 20k instr/core):\n");
   std::printf("  enabled  %.3f ms | runtime-disabled %.3f ms | overhead %+.2f%% (target < 2%%)\n",
               best_on * 1e3, best_off * 1e3, overhead);
+
+  // Batched DSE sweeps below: the CLI-default stencil study, simulated
+  // from a cleared sim cache every round.
+  DseContext context;
+  for (const WorkloadSpec& spec : workload_catalog())
+    if (spec.name == "stencil") context.workload = spec;
+  context.instructions0 = 20'000;
+  context.per_core_cap = 5'000;
+  context.chip.total_area = 9.0;
+  context.chip.shared_area = 1.0;
+  auto feasible_points = [&](const DseAxes& axes) {
+    std::vector<std::vector<double>> out;
+    make_design_space(axes).for_each([&](std::size_t, const std::vector<double>& point) {
+      if (design_feasible(context, point)) out.push_back(point);
+    });
+    return out;
+  };
+  auto cold_sweep = [&](const std::vector<std::vector<double>>& points) {
+    exec::SimCache::global().clear();
+    return seconds_of(
+        [&] { benchmark::DoNotOptimize(simulate_design_times_batched(context, points).size()); });
+  };
+
+  // The same toggle at 4 pool threads on a cold sweep: every worker's
+  // replays report into the one shared registry, so this is where
+  // contended telemetry would show.
+  constexpr std::size_t kToggleThreads = 4;
+  DseAxes toggle_axes;
+  toggle_axes.a0 = {1.0, 2.0};
+  toggle_axes.n = {1, 2, 4, 8};
+  toggle_axes.issue = {2, 4};
+  toggle_axes.rob = {32, 128};
+  const std::vector<std::vector<double>> toggle_points = feasible_points(toggle_axes);
+  auto run_toggle_sweep = [&] { return cold_sweep(toggle_points); };
+  exec::set_thread_count(kToggleThreads);
+  const auto [sweep_on, sweep_off] =
+      min_of_interleaved(kToggleRounds, with_telemetry(true, run_toggle_sweep),
+                         with_telemetry(false, run_toggle_sweep));
+  exec::set_thread_count(0);
+  const double overhead_threaded = (sweep_on - sweep_off) / sweep_off * 100.0;
+  std::printf("telemetry overhead on a cold batched sweep (%zu points, %zu threads):\n",
+              toggle_points.size(), kToggleThreads);
+  std::printf("  enabled  %.3f ms | runtime-disabled %.3f ms | overhead %+.2f%% (target < 2%%)\n",
+              sweep_on * 1e3, sweep_off * 1e3, overhead_threaded);
 
   // Compile-time kill switch: the instrumented kernel built with
   // C2B_OBS_DISABLED must price like the uninstrumented one.
@@ -333,50 +389,27 @@ void report_obs_overhead() {
   // journal. The sim cache is cleared before every round so each run does
   // the full simulation work (a warm cache would peel everything and leave
   // nothing for the recorder to perturb).
-  DseContext context;
-  for (const WorkloadSpec& spec : workload_catalog())
-    if (spec.name == "stencil") context.workload = spec;
-  context.instructions0 = 20'000;
-  context.per_core_cap = 5'000;
-  context.chip.total_area = 9.0;
-  context.chip.shared_area = 1.0;
   DseAxes axes;
   axes.n = {1, 2};
   axes.issue = {2, 4};
   axes.rob = {32, 64};
-  std::vector<std::vector<double>> points;
-  make_design_space(axes).for_each([&](std::size_t, const std::vector<double>& point) {
-    if (design_feasible(context, point)) points.push_back(point);
-  });
-
+  const std::vector<std::vector<double>> points = feasible_points(axes);
   const char* journal_path = "BENCH_obs_journal.tmp.jsonl";
-  auto run_sweep = [&](bool with_journal) {
-    exec::SimCache::global().clear();
-    std::unique_ptr<obs::RunJournal> journal;
-    if (with_journal) {
-      journal = obs::RunJournal::open(journal_path);
-      obs::set_active_journal(journal.get());
-    }
-    const auto begin = clock::now();
-    benchmark::DoNotOptimize(simulate_design_times_batched(context, points).size());
-    const double seconds = std::chrono::duration<double>(clock::now() - begin).count();
+  auto run_journaled = [&] {
+    std::unique_ptr<obs::RunJournal> journal = obs::RunJournal::open(journal_path);
+    obs::set_active_journal(journal.get());
+    const double seconds = cold_sweep(points);
     obs::set_active_journal(nullptr);
     return seconds;
   };
-
-  run_sweep(true);   // warm-up
-  run_sweep(false);
-  double sweep_on = 1e9, sweep_off = 1e9;
-  for (int r = 0; r < 7; ++r) {
-    sweep_on = std::min(sweep_on, run_sweep(true));
-    sweep_off = std::min(sweep_off, run_sweep(false));
-  }
+  auto run_plain = [&] { return cold_sweep(points); };
+  const auto [journal_on, journal_off] = min_of_interleaved(31, run_journaled, run_plain);
   std::remove(journal_path);
-  const double journal_overhead = (sweep_on - sweep_off) / sweep_off * 100.0;
+  const double journal_overhead = (journal_on - journal_off) / journal_off * 100.0;
   std::printf("flight recorder overhead on batched sweep (%zu points, cold cache):\n",
               points.size());
   std::printf("  journal on %.3f ms | off %.3f ms | overhead %+.2f%% (target < 2%%)\n\n",
-              sweep_on * 1e3, sweep_off * 1e3, journal_overhead);
+              journal_on * 1e3, journal_off * 1e3, journal_overhead);
 
   // Machine-readable copy for tools/check_bench_regression.py: each
   // scenario's overhead_pct is gated against the baseline's
@@ -386,6 +419,9 @@ void report_obs_overhead() {
     std::fprintf(out,
                  "    {\"name\": \"telemetry_runtime_toggle\", \"overhead_pct\": %.4f},\n",
                  overhead);
+    std::fprintf(out,
+                 "    {\"name\": \"telemetry_runtime_toggle_t4\", \"overhead_pct\": %.4f},\n",
+                 overhead_threaded);
     std::fprintf(out,
                  "    {\"name\": \"kernel_compiled_out\", \"overhead_pct\": %.4f},\n",
                  (compiled_out - plain) / plain * 100.0);

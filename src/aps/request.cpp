@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "c2b/exec/sim_cache.h"
 #include "c2b/obs/journal.h"
 #include "c2b/trace/workloads.h"
 
@@ -209,6 +210,37 @@ void journal_sweep_config(const SweepRequest& request, std::size_t grid_points) 
                     .num("shared_area", context.chip.shared_area)
                     .count("seed", context.seed)
                     .count("grid_points", grid_points));
+}
+
+void journal_batch_stats(const BatchReplayStats& batch) {
+  auto* journal = obs::active_journal();
+  if (journal == nullptr) return;
+  journal->emit(obs::JournalEvent("batch_stats")
+                    .count("classes", batch.classes)
+                    .count("members", batch.members)
+                    .count("replayed_configs", batch.replayed_configs)
+                    .count("cache_hits", batch.cache_hits)
+                    .count("cache_hits_disk", batch.cache_hits_disk)
+                    .count("chunks_shared", batch.chunks_shared)
+                    .count("regen_avoided_accesses", batch.regen_avoided_accesses)
+                    .count("simd_steps", batch.simd_steps)
+                    .count("simd_peels", batch.simd_peels)
+                    .count("simd_lanes_active", batch.simd_lanes_active));
+  // Tier attribution snapshot for the `c2b report` "== cache ==" section:
+  // process-wide sim-cache traffic split memory vs disk at the end of the
+  // sweep.
+  const exec::SimCacheStats cache = exec::SimCache::global().stats();
+  journal->emit(obs::JournalEvent("cache_tiers")
+                    .count("mem_hits", cache.hits)
+                    .count("misses", cache.misses)
+                    .count("mem_entries", cache.entries)
+                    .count("evictions", cache.evictions)
+                    .count("disk_attached", exec::SimCache::global().has_disk_tier() ? 1 : 0)
+                    .count("disk_hits", cache.disk_hits)
+                    .count("disk_misses", cache.disk_misses)
+                    .count("disk_entries", cache.disk_entries)
+                    .count("disk_flushes", cache.disk_flushes)
+                    .count("disk_drops", cache.disk_drops));
 }
 
 }  // namespace c2b

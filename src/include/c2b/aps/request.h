@@ -102,4 +102,10 @@ std::string request_help(SweepCommand command);
 /// (the event `c2b report` attributes a run from).
 void journal_sweep_config(const SweepRequest& request, std::size_t grid_points);
 
+/// Journal a finished sweep's batch-replay counts and the sim cache's tier
+/// traffic to the active flight recorder, if any (`batch_stats` and
+/// `cache_tiers`, which `c2b report` sums). Every front end calls it once
+/// per sweep, so the CLI and c2b serve jobs report the same counts.
+void journal_batch_stats(const BatchReplayStats& batch);
+
 }  // namespace c2b

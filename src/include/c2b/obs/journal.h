@@ -32,6 +32,8 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace c2b::obs {
@@ -83,6 +85,13 @@ class RunJournal {
   /// registry as flat fields — rate-limited to Options::metrics_interval_ms
   /// unless `force`, so instrumentation sites can call it unconditionally.
   void snapshot_metrics(bool force = false);
+
+  /// The `run_begin` / `run_end` events that bracket one run; `c2b report`
+  /// reads the command, the pool's thread count and the wall time from
+  /// them. Every front end writes both (the CLI around a command, c2b
+  /// serve around a job, whose `argv` is empty).
+  void emit_run_begin(std::string_view command, std::uint64_t threads, std::string_view argv);
+  void emit_run_end(int exit_code);
 
   /// Write buffered lines to the file and fflush.
   void flush();
@@ -160,7 +169,18 @@ std::vector<JournalRecord> read_journal(const std::string& path,
                                         JournalReadStats* stats = nullptr);
 
 /// Parse one JSONL line into `out`; false when malformed (torn/corrupt).
+/// A repeated key keeps its last value.
 bool parse_journal_line(std::string_view line, JournalRecord& out);
+
+/// One member of a flat JSON object: a string, or a number (null reads as
+/// NaN).
+using FlatJsonMember = std::pair<std::string, std::variant<std::string, double>>;
+
+/// The journal-line grammar without the journal's reading of it: every
+/// member in document order, repeated keys included, and "type" and
+/// "ts_ms" as ordinary members. For inputs that must reject what a journal
+/// reader tolerates (c2b serve job bodies). False when malformed.
+bool parse_flat_json_object(std::string_view line, std::vector<FlatJsonMember>& out);
 
 /// `text` escaped for the body of a JSON string (quotes, backslashes,
 /// control bytes as \u00XX) — the one escaper of every JSON writer.

@@ -23,6 +23,7 @@
 #define C2B_COUNTER_INC(name) ((void)0)
 #define C2B_GAUGE_SET(name, value) ((void)0)
 #define C2B_HISTOGRAM_RECORD(name, lo, hi, bins, value) ((void)0)
+#define C2B_HISTOGRAM_MERGE(name, local) ((void)0)
 #define C2B_SPAN(name) ((void)0)
 #define C2B_SPAN_ARG(name, arg) ((void)0)
 
@@ -58,6 +59,19 @@
       static ::c2b::obs::ConcurrentHistogram& c2b_obs_slot =                  \
           ::c2b::obs::Registry::global().histogram(name, lo, hi, bins);       \
       c2b_obs_slot.record(value);                                             \
+    }                                                                         \
+  } while (0)
+
+/// Fold a LocalHistogram into the registry histogram `name`, registered
+/// with the local one's shape. An empty local histogram registers nothing,
+/// as if no sample had been recorded.
+#define C2B_HISTOGRAM_MERGE(name, local)                                      \
+  do {                                                                        \
+    if (C2B_OBS_ACTIVE() && (local).count() != 0) {                           \
+      static ::c2b::obs::ConcurrentHistogram& c2b_obs_slot =                  \
+          ::c2b::obs::Registry::global().histogram(                           \
+              name, (local).lo(), (local).hi(), (local).bins());              \
+      c2b_obs_slot.merge(local);                                              \
     }                                                                         \
   } while (0)
 

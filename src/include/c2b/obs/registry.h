@@ -1,13 +1,20 @@
 #pragma once
 
 // Process-wide telemetry registry: named counters, gauges, and fixed-bucket
-// histograms. The hot path is lock-free (relaxed std::atomic updates on
+// histograms. Updates are lock-free (relaxed std::atomic updates on
 // cache-line-padded slots); registration takes a mutex once per call site
 // (the C2B_* macros cache the returned reference in a function-local
 // static). Export walks the registry under the same mutex and aggregates
 // histogram moments RunningStats-style (count/sum/sum-of-squares/min/max),
 // so a snapshot is cheap and never perturbs concurrent writers.
+//
+// Even relaxed atomics cost a contended cache line when every pool thread
+// hits the same slot per event, so the simulator does not write the
+// registry per access: each replay tallies into plain fields and a
+// LocalHistogram and folds them in once when it ends (Counter::add,
+// ConcurrentHistogram::merge). The registry sees the same counts either way.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -47,15 +54,74 @@ class Gauge {
   alignas(64) std::atomic<double> value_{0.0};
 };
 
+/// Bucket of sample `x` in `bins` buckets of `width` starting at `lo`.
+/// Out-of-range samples (and NaN) clamp to the edge buckets, the same
+/// semantics as c2b::Histogram. The one bucketing rule of both histogram
+/// kinds below, so a merged LocalHistogram lands exactly where recording
+/// its samples one by one would.
+inline std::size_t histogram_bin(double x, double lo, double width, std::size_t bins) noexcept {
+  const double offset = (x - lo) / width;
+  if (!(offset > 0.0)) return 0;
+  if (offset >= static_cast<double>(bins)) return bins - 1;
+  return static_cast<std::size_t>(offset);
+}
+
+/// Single-owner histogram with ConcurrentHistogram's shape, bucketing and
+/// moments in plain fields. For hot loops that tally privately and fold
+/// the result into a shared histogram once (ConcurrentHistogram::merge)
+/// instead of paying atomic read-modify-writes on shared lines per sample.
+class LocalHistogram {
+ public:
+  LocalHistogram(double lo, double hi, std::size_t bins);
+
+  void record(double x) noexcept {
+    ++counts_[histogram_bin(x, lo_, width_, counts_.size())];
+    ++count_;
+    sum_ += x;
+    sum_squares_ += x * x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+  double lo() const noexcept { return lo_; }
+  double hi() const noexcept { return hi_; }
+  double width() const noexcept { return width_; }
+  std::size_t bins() const noexcept { return counts_.size(); }
+  std::uint64_t bin_count(std::size_t bin) const noexcept {
+    return bin < counts_.size() ? counts_[bin] : 0;
+  }
+  std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
+  double sum_squares() const noexcept { return sum_squares_; }
+  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }  ///< 0 when empty
+  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }  ///< 0 when empty
+
+ private:
+  double lo_;
+  double hi_;
+  double width_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double sum_squares_ = 0.0;
+  double min_;
+  double max_;
+};
+
 /// Fixed-width histogram over [lo, hi) with atomically updated buckets and
-/// running moments; out-of-range samples clamp to the edge buckets (same
-/// semantics as c2b::Histogram). record() is wait-free on every field
-/// except min/max, which use a bounded CAS loop.
+/// running moments; out-of-range samples clamp to the edge buckets (see
+/// histogram_bin). record() is wait-free on every field except min/max,
+/// which use a bounded CAS loop.
 class ConcurrentHistogram {
  public:
   ConcurrentHistogram(double lo, double hi, std::size_t bins);
 
   void record(double x, std::uint64_t weight = 1) noexcept;
+  /// Fold a LocalHistogram of the same shape in: bucket counts, count, sum
+  /// and sum of squares add, min and max fold. Equal to recording its
+  /// samples one by one, except that a non-integer sum may round
+  /// differently. Throws on a shape mismatch.
+  void merge(const LocalHistogram& local);
 
   std::size_t bins() const noexcept { return counts_.size(); }
   double bin_low(std::size_t bin) const noexcept;

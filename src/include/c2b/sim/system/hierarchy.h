@@ -19,6 +19,7 @@
 
 #include <optional>
 
+#include "c2b/obs/registry.h"
 #include "c2b/sim/cache/cache.h"
 #include "c2b/sim/cache/coherence.h"
 #include "c2b/sim/cache/prefetch.h"
@@ -111,6 +112,12 @@ class MemoryHierarchy {
   HierarchyStats stats() const;
   const HierarchyConfig& config() const noexcept { return config_; }
 
+  /// Add this hierarchy's telemetry to the process registry: the sim.l1.*
+  /// and sim.l2.* counters and the MSHR, NoC and DRAM histograms, tallied
+  /// in plain fields during the run. Call once, when the replay that owns
+  /// the hierarchy ends; a no-op when telemetry is off.
+  void flush_telemetry() const;
+
  private:
   HierarchyConfig config_;
 
@@ -127,6 +134,12 @@ class MemoryHierarchy {
   std::uint64_t l2_misses_ = 0;
   std::uint64_t l1_writebacks_ = 0;
   std::uint64_t l2_writebacks_ = 0;
+
+  // Telemetry that no other counter here already counts (flush_telemetry).
+  std::uint64_t l1_evictions_ = 0;  ///< victims of demand L1 fills (not prefetch fills)
+  std::uint64_t l2_evictions_ = 0;  ///< victims of fills through access(), not prefetch
+  obs::LocalHistogram l1_mshr_occupancy_{0.0, 64.0, 64};  ///< in flight after each L1 miss
+  obs::LocalHistogram noc_round_trip_{0.0, 256.0, 64};    ///< cycles, per slice round trip
 
   // Prefetch engines and the not-yet-referenced prefetched lines per core.
   std::vector<Prefetcher> prefetchers_;

@@ -211,6 +211,20 @@ std::uint64_t RunJournal::dropped_events() const noexcept {
   return impl_->dropped;
 }
 
+void RunJournal::emit_run_begin(std::string_view command, std::uint64_t threads,
+                                std::string_view argv) {
+  emit(JournalEvent("run_begin")
+           .str("command", command)
+           .count("threads", threads)
+           .str("argv", argv));
+}
+
+void RunJournal::emit_run_end(int exit_code) {
+  emit(JournalEvent("run_end")
+           .count("exit_code", static_cast<std::uint64_t>(exit_code))
+           .num("wall_ms", elapsed_ms()));
+}
+
 double RunJournal::elapsed_ms() const {
   return static_cast<double>(now_ns() - impl_->epoch_ns) / 1e6;
 }
@@ -336,16 +350,16 @@ struct LineCursor {
   }
 };
 
-}  // namespace
-
-bool parse_journal_line(std::string_view line, JournalRecord& out) {
+/// The one flat-object grammar: `{"key": "string" | number | null, ...}`,
+/// calling `member(key, value)` for each member in document order.
+template <typename OnMember>
+bool parse_members(std::string_view line, OnMember&& member) {
   while (!line.empty() && (line.back() == '\r' || line.back() == '\n' ||
                            line.back() == ' ' || line.back() == '\t'))
     line.remove_suffix(1);
   LineCursor cursor{line};
   cursor.skip_ws();
   if (!cursor.expect('{')) return false;
-  out = JournalRecord{};
   bool closed = false;
   while (!closed) {
     cursor.skip_ws();
@@ -357,20 +371,43 @@ bool parse_journal_line(std::string_view line, JournalRecord& out) {
     if (!cursor.done() && cursor.peek() == '"') {
       std::string value;
       if (!cursor.parse_string(value)) return false;
-      if (key == "type") out.type = std::move(value);
-      else out.strings[std::move(key)] = std::move(value);
+      member(std::move(key), std::move(value));
     } else {
       double value = 0.0;
       if (!cursor.parse_number(value)) return false;
-      if (key == "ts_ms") out.ts_ms = value;
-      else out.numbers[std::move(key)] = value;
+      member(std::move(key), value);
     }
     cursor.skip_ws();
     if (cursor.expect('}')) closed = true;
     else if (!cursor.expect(',')) return false;
   }
   cursor.skip_ws();
-  return cursor.done() && !out.type.empty();
+  return cursor.done();
+}
+
+}  // namespace
+
+bool parse_journal_line(std::string_view line, JournalRecord& out) {
+  out = JournalRecord{};
+  struct Reader {
+    JournalRecord& record;
+    void operator()(std::string key, std::string value) {
+      if (key == "type") record.type = std::move(value);
+      else record.strings[std::move(key)] = std::move(value);
+    }
+    void operator()(std::string key, double value) {
+      if (key == "ts_ms") record.ts_ms = value;
+      else record.numbers[std::move(key)] = value;
+    }
+  };
+  return parse_members(line, Reader{out}) && !out.type.empty();
+}
+
+bool parse_flat_json_object(std::string_view line, std::vector<FlatJsonMember>& out) {
+  out.clear();
+  return parse_members(line, [&out](std::string key, auto value) {
+    out.emplace_back(std::move(key), std::move(value));
+  });
 }
 
 std::vector<JournalRecord> read_journal(const std::string& path, JournalReadStats* stats) {

@@ -31,6 +31,17 @@ void atomic_max(std::atomic<double>& slot, double x) noexcept {
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
 
+LocalHistogram::LocalHistogram(double lo, double hi, std::size_t bins)
+    : lo_(lo),
+      hi_(hi),
+      width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
+      counts_(bins),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {
+  C2B_REQUIRE(hi > lo, "histogram needs hi > lo");
+  C2B_REQUIRE(bins >= 1, "histogram needs at least one bin");
+}
+
 ConcurrentHistogram::ConcurrentHistogram(double lo, double hi, std::size_t bins)
     : lo_(lo),
       width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
@@ -42,18 +53,29 @@ ConcurrentHistogram::ConcurrentHistogram(double lo, double hi, std::size_t bins)
 }
 
 void ConcurrentHistogram::record(double x, std::uint64_t weight) noexcept {
-  const double offset = (x - lo_) / width_;
-  std::size_t bin = 0;
-  if (offset > 0.0) {
-    bin = std::min(counts_.size() - 1, static_cast<std::size_t>(offset));
-  }
-  counts_[bin].fetch_add(weight, std::memory_order_relaxed);
+  counts_[histogram_bin(x, lo_, width_, counts_.size())].fetch_add(weight,
+                                                                  std::memory_order_relaxed);
   count_.fetch_add(weight, std::memory_order_relaxed);
   const double w = static_cast<double>(weight);
   sum_.fetch_add(w * x, std::memory_order_relaxed);
   sum_squares_.fetch_add(w * x * x, std::memory_order_relaxed);
   atomic_min(min_, x);
   atomic_max(max_, x);
+}
+
+void ConcurrentHistogram::merge(const LocalHistogram& local) {
+  C2B_REQUIRE(local.lo() == lo_ && local.width() == width_ && local.bins() == counts_.size(),
+              "merged histogram must have the same shape");
+  if (local.count() == 0) return;
+  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
+    const std::uint64_t n = local.bin_count(bin);
+    if (n != 0) counts_[bin].fetch_add(n, std::memory_order_relaxed);
+  }
+  count_.fetch_add(local.count(), std::memory_order_relaxed);
+  sum_.fetch_add(local.sum(), std::memory_order_relaxed);
+  sum_squares_.fetch_add(local.sum_squares(), std::memory_order_relaxed);
+  atomic_min(min_, local.min());
+  atomic_max(max_, local.max());
 }
 
 double ConcurrentHistogram::bin_low(std::size_t bin) const noexcept {

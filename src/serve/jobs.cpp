@@ -46,6 +46,7 @@ JobOutcome run_dse(const SweepRequest& request) {
   char buf[512];
   if (request.pareto) {
     const ParetoDseResult result = run_pareto_dse(context, space);
+    journal_batch_stats(result.batch);
     std::snprintf(buf, sizeof buf,
                   "{\"type\":\"dse\",\"pareto\":1,\"grid_points\":%zu,"
                   "\"feasible\":%zu,\"frontier\":%zu,\"batch\":",
@@ -53,6 +54,7 @@ JobOutcome run_dse(const SweepRequest& request) {
     outcome.result_json = std::string(buf) + batch_json(result.batch) + "}";
   } else {
     const FullDseResult result = run_full_dse(context, space);
+    journal_batch_stats(result.batch);
     std::snprintf(buf, sizeof buf,
                   "{\"type\":\"dse\",\"grid_points\":%zu,\"feasible\":%zu,"
                   "\"best_index\":%zu,\"best_time\":%.17g,\"simulations\":%zu,\"batch\":",
@@ -70,6 +72,7 @@ JobOutcome run_aps_job(const SweepRequest& request) {
   journal_sweep_config(request, space.size());
 
   const ApsResult result = run_aps(request.context, space, request.aps);
+  journal_batch_stats(result.batch);
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "{\"type\":\"aps\",\"grid_points\":%zu,\"best_index\":%zu,"
@@ -100,23 +103,28 @@ JobOutcome run_check_job(const JobRequest& request) {
 }  // namespace
 
 std::optional<JobRequest> JobRequest::parse(const std::string& body, std::string* error) {
-  // The body is one flat JSON object — the journal-line grammar. Normalize
-  // newlines so pretty-printed clients still parse.
+  // The body is one flat JSON object — the journal-line grammar, but every
+  // key is a request field (no journal "ts_ms") and may appear once.
+  // Normalize newlines so pretty-printed clients still parse.
   std::string line = body;
   std::replace(line.begin(), line.end(), '\n', ' ');
   std::replace(line.begin(), line.end(), '\r', ' ');
-  obs::JournalRecord record;
-  if (!obs::parse_journal_line(line, record)) {
+  std::vector<obs::FlatJsonMember> members;
+  if (!obs::parse_flat_json_object(line, members)) {
     if (error != nullptr)
       *error = "malformed job body (want a flat JSON object with a \"type\" field)";
     return std::nullopt;
   }
-  RequestFields fields(record.numbers.begin(), record.numbers.end());
-  for (auto& [key, value] : record.strings) fields.emplace(key, std::move(value));
 
   JobRequest request;
-  request.type = record.type;
   try {
+    RequestFields fields;
+    for (auto& [key, value] : members)
+      if (!fields.emplace(key, std::move(value)).second) throw RequestError(key, "repeated key");
+    const auto type = fields.extract("type");
+    if (!type || !std::holds_alternative<std::string>(type.mapped()))
+      throw RequestError("type", "required, a string naming the job type");
+    request.type = std::get<std::string>(type.mapped());
     request.threads = static_cast<std::size_t>(take_integer(fields, kThreadsKey));
     if (const auto command = parse_sweep_command(request.type)) {
       request.sweep = build_sweep_request(*command, fields);

@@ -165,13 +165,18 @@ struct Server::Impl {
     std::unique_ptr<obs::RunJournal> journal;
     if (!job.journal_path.empty()) journal = obs::RunJournal::open(job.journal_path);
     const obs::ScopedObsContext scope(obs::ObsContext{journal.get(), nullptr});
-    if (journal)
+    // A job journal is a run journal like the CLI's (run_begin ... run_end
+    // around the sweep's own events), so `c2b report` reads it the same way.
+    if (journal) {
       journal->emit(obs::JournalEvent("job_begin")
                         .count("id", job.id)
                         .str("job_type", job.request.type)
                         .count("threads_share", job.share));
+      journal->emit_run_begin(job.request.type, exec::thread_count(), "");
+    }
     job.outcome = run_job(job.request);
     if (journal) {
+      journal->emit_run_end(job.outcome.ok ? 0 : 1);
       journal->emit(obs::JournalEvent("job_end")
                         .count("id", job.id)
                         .count("ok", job.outcome.ok ? 1 : 0)

@@ -1,10 +1,16 @@
 #include "batch_state.h"
 
+#include "c2b/obs/obs.h"
+
 namespace c2b::sim::detail {
 
-void MemberState::flush_kernel_counters() {
+void MemberState::flush_telemetry() {
+  if (telemetry_flushed) return;
+  telemetry_flushed = true;
   C2B_COUNTER_ADD("sim.kernel.visited_cycles", visited_cycles);
   C2B_COUNTER_ADD("sim.kernel.skipped_cycles", skipped_cycles);
+  C2B_HISTOGRAM_MERGE("sim.core.rob_occupancy", rob_occupancy);
+  hierarchy.flush_telemetry();
 }
 
 SystemResult MemberState::build_result() {

@@ -21,7 +21,7 @@
 #include <limits>
 #include <vector>
 
-#include "c2b/obs/obs.h"
+#include "c2b/obs/registry.h"
 #include "c2b/sim/system/system.h"
 
 namespace c2b::sim::detail {
@@ -127,7 +127,10 @@ struct MemberState {
   bool any_visited = false;
 
   std::uint64_t consumed = 0;  ///< trace records consumed across cursors
-  bool counters_flushed = false;
+
+  /// ROB occupancy sampled at each detector fold (sim.core.rob_occupancy).
+  obs::LocalHistogram rob_occupancy{0.0, 256.0, 64};
+  bool telemetry_flushed = false;
 
   // Vectorization accounting (read by the batch kernel's telemetry): every
   // consumed record is either advanced by a closed-form compute jump
@@ -145,9 +148,17 @@ struct MemberState {
         n(cores),
         lanes(cores, config.core.rob_size) {}
 
-  /// Flush the one-shot kernel counters (call exactly once, when the run
-  /// finishes — both kernels guard with counters_flushed).
-  void flush_kernel_counters();
+  /// A member flushes its tallies exactly once, so it is never copied or
+  /// moved (a copy would flush them twice).
+  MemberState(const MemberState&) = delete;
+  MemberState& operator=(const MemberState&) = delete;
+  /// Flushes a replay that never finished, so its work is still counted.
+  ~MemberState() { flush_telemetry(); }
+
+  /// Add this run's telemetry to the process registry: the kernel cycle
+  /// counters, the ROB histogram and the hierarchy's tallies. Both kernels
+  /// call it when the run finishes; later calls are no-ops.
+  void flush_telemetry();
 
   /// Final per-member SystemResult; folds the detectors (one-shot).
   SystemResult build_result();
@@ -201,7 +212,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
         lanes.last_detector_fold[c] = cycle;
         lanes.detectors[c].advance(cycle);
-        C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64, 0.0);
+        s.rob_occupancy.record(0.0);
       }
       // Resume later instead of continuing in place: cores with earlier
       // pending events must reach the hierarchy first.
@@ -261,8 +272,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
         lanes.last_detector_fold[c] = cycle;
         lanes.detectors[c].advance(cycle);
-        C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64,
-                             static_cast<double>(lanes.rob_count[c]));
+        s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
       }
       return cycle + batches;
     }
@@ -310,8 +320,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
   if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
     lanes.last_detector_fold[c] = cycle;
     lanes.detectors[c].advance(cycle);
-    C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64,
-                         static_cast<double>(lanes.rob_count[c]));
+    s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
   }
 
   // ---- Next wake: the earliest cycle this core can act again ----

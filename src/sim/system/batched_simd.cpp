@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <limits>
 
 #if defined(__x86_64__) && !defined(C2B_DISABLE_SIMD)
@@ -92,8 +93,7 @@ std::vector<SystemResult> run_vectorized(const std::vector<SystemConfig>& config
                                          const std::vector<std::vector<Cursor*>>& cursors,
                                          const BatchedReplayOptions& options) {
   const std::size_t k = configs.size();
-  std::vector<MemberState> members;
-  members.reserve(k);
+  std::deque<MemberState> members;  // MemberState is pinned: it flushes once
   std::vector<std::size_t> offset(k + 1, 0);
   for (std::size_t m = 0; m < k; ++m) {
     members.emplace_back(configs[m], cursors[m].size());
@@ -132,10 +132,7 @@ std::vector<SystemResult> run_vectorized(const std::vector<SystemConfig>& config
         lane[c] = step_core(s, *cursors[m][c], cycle, c);
       }
       if (finished) {
-        if (!s.counters_flushed) {
-          s.counters_flushed = true;
-          s.flush_kernel_counters();
-        }
+        s.flush_telemetry();
       } else {
         active[live++] = m;
       }

@@ -141,10 +141,7 @@ SystemReplay& SystemReplay::operator=(SystemReplay&&) noexcept = default;
 bool SystemReplay::advance_until(std::uint64_t record_target) {
   Impl& s = *impl_;
   while (!s.events.empty() && s.state.consumed < record_target) s.step();
-  if (s.events.empty() && !s.state.counters_flushed) {
-    s.state.counters_flushed = true;
-    s.state.flush_kernel_counters();
-  }
+  if (s.events.empty()) s.state.flush_telemetry();
   return s.events.empty();
 }
 

@@ -54,6 +54,8 @@ SystemResult simulate_system_reference(const SystemConfig& config,
   const std::uint32_t width = config.core.issue_width;
   const std::uint32_t rob_size = config.core.rob_size;
 
+  obs::LocalHistogram rob_occupancy(0.0, 256.0, 64);
+
   std::uint64_t cycle = 0;
   for (;;) {
     bool all_done = true;
@@ -115,8 +117,7 @@ SystemResult simulate_system_reference(const SystemConfig& config,
       // after `cycle`, so `cycle` is always a safe watermark).
       if ((cycle & 0xFFF) == 0) {
         core.detector.advance(cycle);
-        C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64,
-                             static_cast<double>(core.rob.size()));
+        rob_occupancy.record(static_cast<double>(core.rob.size()));
       }
     }
 
@@ -128,6 +129,9 @@ SystemResult simulate_system_reference(const SystemConfig& config,
       cycle = std::max(cycle + 1, next_event);
     }
   }
+
+  hierarchy.flush_telemetry();
+  C2B_HISTOGRAM_MERGE("sim.core.rob_occupancy", rob_occupancy);
 
   SystemResult result;
   result.cores.reserve(cores.size());

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "c2b/check/property.h"
 #include "c2b/obs/export.h"
 #include "c2b/obs/obs.h"
 
@@ -163,6 +168,159 @@ TEST(ObsHistogram, ResetClears) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+}
+
+/// One histogram shape and a sample stream: the first `recorded` samples
+/// go in one by one, the rest through `chunks` LocalHistograms (some
+/// possibly empty) merged in order.
+struct MergeCase {
+  double lo = 0.0;
+  double hi = 1.0;
+  std::size_t bins = 1;
+  std::vector<double> samples;
+  std::size_t recorded = 0;
+  std::size_t chunks = 1;
+};
+
+/// Samples that exercise every bucketing branch: exact bucket edges, lo and
+/// hi themselves, negatives, far out-of-range values both ways, and
+/// fractions; mostly integers so the moments can be compared exactly.
+MergeCase gen_merge_case(Rng& rng) {
+  MergeCase c;
+  c.lo = static_cast<double>(rng.uniform_int(-8, 8));
+  c.bins = 1 + rng.uniform_below(16);
+  c.hi = c.lo + static_cast<double>(c.bins) * static_cast<double>(1 + rng.uniform_below(4));
+  const double width = (c.hi - c.lo) / static_cast<double>(c.bins);
+  const std::size_t n = rng.uniform_below(80);
+  for (std::size_t i = 0; i < n; ++i) {
+    double x;
+    switch (rng.uniform_below(6)) {
+      case 0: x = c.lo + width * static_cast<double>(rng.uniform_below(c.bins + 1)); break;
+      case 1: x = rng.bernoulli(0.5) ? c.lo : c.hi; break;
+      case 2: x = static_cast<double>(rng.uniform_int(-1'000'000, -1)); break;
+      case 3: x = static_cast<double>(rng.uniform_int(1'000, 1'000'000)); break;
+      case 4: x = rng.uniform(c.lo - 2.0, c.hi + 2.0); break;
+      default: x = static_cast<double>(rng.uniform_int(static_cast<std::int64_t>(c.lo) - 4,
+                                                      static_cast<std::int64_t>(c.hi) + 4));
+    }
+    c.samples.push_back(x);
+  }
+  c.recorded = rng.uniform_below(n + 1);
+  c.chunks = 1 + rng.uniform_below(4);
+  return c;
+}
+
+std::optional<std::string> merge_matches_recording(const MergeCase& c) {
+  ConcurrentHistogram one_by_one(c.lo, c.hi, c.bins);
+  for (const double x : c.samples) one_by_one.record(x);
+
+  ConcurrentHistogram merged(c.lo, c.hi, c.bins);
+  for (std::size_t i = 0; i < c.recorded; ++i) merged.record(c.samples[i]);
+  const std::size_t tail = c.samples.size() - c.recorded;
+  std::size_t next = c.recorded;
+  for (std::size_t chunk = 0; chunk < c.chunks; ++chunk) {
+    LocalHistogram local(c.lo, c.hi, c.bins);
+    const std::size_t end = c.recorded + tail * (chunk + 1) / c.chunks;
+    for (; next < end; ++next) local.record(c.samples[next]);
+    merged.merge(local);
+  }
+
+  std::ostringstream os;
+  for (std::size_t b = 0; b < c.bins; ++b)
+    if (merged.bin_count(b) != one_by_one.bin_count(b))
+      os << "bin " << b << ": " << merged.bin_count(b) << " vs " << one_by_one.bin_count(b)
+         << "; ";
+  if (merged.count() != one_by_one.count()) os << "count differs; ";
+  if (merged.min() != one_by_one.min()) os << "min differs; ";
+  if (merged.max() != one_by_one.max()) os << "max differs; ";
+  // Merging regroups the additions: integer sums stay exact, any other sum
+  // may round differently in the last places.
+  const bool integral = std::all_of(c.samples.begin(), c.samples.end(),
+                                    [](double x) { return x == std::floor(x); });
+  double magnitude = 0.0;
+  for (const double x : c.samples) magnitude += std::abs(x);
+  const double tolerance = integral ? 0.0 : 1e-12 * magnitude;
+  if (std::abs(merged.sum() - one_by_one.sum()) > tolerance) os << "sum differs; ";
+  if (std::abs(merged.stddev() - one_by_one.stddev()) > 1e-9 * (1.0 + one_by_one.stddev()))
+    os << "stddev differs; ";
+  if (os.str().empty()) return std::nullopt;
+  return os.str();
+}
+
+TEST(ObsHistogram, MergingLocalHistogramsEqualsRecordingOneByOne) {
+  check::Property<MergeCase> p;
+  p.name = "local_histogram_merge";
+  p.generate = gen_merge_case;
+  p.holds = merge_matches_recording;
+  p.shrink = [](const MergeCase& c) {
+    std::vector<MergeCase> out;
+    for (std::vector<double>& samples : check::shrink_vector(c.samples)) {
+      MergeCase smaller = c;
+      smaller.samples = std::move(samples);
+      smaller.recorded = std::min(smaller.recorded, smaller.samples.size());
+      out.push_back(std::move(smaller));
+    }
+    return out;
+  };
+  p.print = [](const MergeCase& c) {
+    std::ostringstream os;
+    os << "[" << c.lo << ", " << c.hi << ") x" << c.bins << " recorded " << c.recorded
+       << " chunks " << c.chunks << " samples";
+    for (const double x : c.samples) os << " " << x;
+    return os.str();
+  };
+  check::CheckOptions options;
+  options.seed = 7;
+  options.cases = 400;
+  const check::CheckResult result = check::check(p, check::options_from_env(options));
+  EXPECT_TRUE(result.passed) << result.summary();
+}
+
+TEST(ObsHistogram, EmptyMergeChangesNothing) {
+  ConcurrentHistogram h(0.0, 8.0, 8);
+  const LocalHistogram empty(0.0, 8.0, 8);
+  h.merge(empty);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+
+  h.record(3.0);
+  h.record(5.0);
+  h.merge(empty);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.sum(), 8.0);
+  EXPECT_DOUBLE_EQ(h.min(), 3.0);
+  EXPECT_DOUBLE_EQ(h.max(), 5.0);
+  EXPECT_EQ(empty.min(), 0.0);  // empty local reports 0 like the shared kind
+  EXPECT_EQ(empty.max(), 0.0);
+}
+
+TEST(ObsHistogram, MergeRejectsAnotherShape) {
+  ConcurrentHistogram h(0.0, 8.0, 8);
+  LocalHistogram wider(0.0, 16.0, 8);
+  wider.record(1.0);
+  EXPECT_THROW(h.merge(wider), std::invalid_argument);
+  EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(ObsHistogram, MergeMacroRegistersOnlyWhatWasRecorded) {
+  const LocalHistogram empty(0.0, 4.0, 4);
+  C2B_HISTOGRAM_MERGE("test.registry.merge_empty", empty);
+  for (const MetricSample& s : Registry::global().snapshot())
+    EXPECT_NE(s.name, "test.registry.merge_empty");
+
+  LocalHistogram local(0.0, 4.0, 4);
+  local.record(1.0);
+  local.record(7.0);
+  set_enabled(false);
+  C2B_HISTOGRAM_MERGE("test.registry.merge", local);
+  set_enabled(true);
+  ConcurrentHistogram& h = Registry::global().histogram("test.registry.merge", 0.0, 4.0, 4);
+  EXPECT_EQ(h.count(), 0u);
+  C2B_HISTOGRAM_MERGE("test.registry.merge", local);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.bin_count(1), 1u);
+  EXPECT_EQ(h.bin_count(3), 1u);
 }
 
 TEST(ObsRegistry, FirstRegistrationFixesHistogramShape) {

@@ -10,6 +10,11 @@
 #include <thread>
 #include <vector>
 
+#include "c2b/aps/dse.h"
+#include "c2b/exec/pool.h"
+#include "c2b/exec/sim_cache.h"
+#include "c2b/obs/journal.h"
+#include "c2b/obs/report.h"
 #include "c2b/serve/http.h"
 #include "c2b/serve/jobs.h"
 
@@ -102,6 +107,14 @@ TEST(ServeSubmit, MalformedAndUnknownBodiesRejected400) {
       {R"({"type":"aps","large-axes":1})", "large-axes"},
       {R"({"type":"dse","threads":0})", "threads"},
       {R"({"type":"check","family":"invariants","instructions":5})", "instructions"},
+      // The body grammar is the journal line's, but "ts_ms" is no request
+      // key, a key may appear once, and "type" must be a string.
+      {R"({"type":"dse","ts_ms":5})", "ts_ms"},
+      {R"({"type":"dse","instructions":20000,"instructions":30000})", "instructions"},
+      {R"({"type":"dse","workload":"stencil","workload":"fft"})", "workload"},
+      {R"({"type":"dse","instructions":20000,"instructions":"20000"})", "instructions"},
+      {R"({"type":"dse","type":"aps"})", "type"},
+      {R"({"type":5})", "type"},
   };
   for (const auto& entry : rejected) {
     const auto response = post(server, "/jobs", entry.body);
@@ -225,6 +238,48 @@ TEST(ServeJobs, EventsEndpointStreamsJournalWithFromCursor) {
     EXPECT_EQ(slice.body.find("\"type\":\"job_begin\""), std::string::npos)
         << slice.body;
   }
+  fs::remove_all(spool);
+}
+
+// A job journal reads like a CLI run journal: `c2b report` finds the pool's
+// thread count, the run_end of a finished job and the sweep's replay
+// counts, the same counts the library reports for that sweep.
+TEST(ServeJobs, JobJournalReportsThreadsRunEndAndBatchCounts) {
+  const fs::path spool = fs::path(::testing::TempDir()) / "serve_report_spool";
+  fs::remove_all(spool);
+  fs::create_directories(spool);
+  exec::SimCache::global().clear();
+  ServerOptions options;
+  options.spool_dir = spool.string();
+  std::uint64_t id = 0;
+  {
+    Server server(options);
+    const auto response = post(server, "/jobs", kTinyDse);
+    ASSERT_EQ(response.status, 202);
+    id = job_id(response);
+    EXPECT_NE(wait_done(server, id).find("\"status\":\"done\""), std::string::npos);
+  }
+  obs::JournalReadStats stats;
+  const auto records =
+      obs::read_journal((spool / ("job-" + std::to_string(id) + ".jsonl")).string(), &stats);
+  const obs::RunReport report = obs::build_report(records, stats);
+  EXPECT_TRUE(report.saw_run_end);
+  EXPECT_EQ(report.command, "dse");
+  EXPECT_EQ(report.threads, static_cast<double>(exec::thread_count()));
+
+  // The same sweep from a cold cache, as `c2b dse` runs it.
+  std::string error;
+  const auto request = JobRequest::parse(kTinyDse, &error);
+  ASSERT_TRUE(request.has_value()) << error;
+  exec::SimCache::global().clear();
+  const FullDseResult direct =
+      run_full_dse(request->sweep->context, make_design_space(request->sweep->axes));
+  EXPECT_GT(direct.batch.chunks_shared, 0u);
+  EXPECT_EQ(report.chunks_shared, static_cast<double>(direct.batch.chunks_shared));
+  EXPECT_EQ(report.regen_avoided_accesses,
+            static_cast<double>(direct.batch.regen_avoided_accesses));
+  EXPECT_EQ(report.simd_steps, static_cast<double>(direct.batch.simd_steps));
+  exec::SimCache::global().clear();
   fs::remove_all(spool);
 }
 

@@ -366,37 +366,6 @@ void print_batch_summary(const BatchReplayStats& batch) {
                 static_cast<unsigned long long>(batch.simd_lanes_active));
 }
 
-void journal_batch_stats(const BatchReplayStats& batch) {
-  auto* journal = obs::active_journal();
-  if (journal == nullptr) return;
-  journal->emit(obs::JournalEvent("batch_stats")
-                    .count("classes", batch.classes)
-                    .count("members", batch.members)
-                    .count("replayed_configs", batch.replayed_configs)
-                    .count("cache_hits", batch.cache_hits)
-                    .count("cache_hits_disk", batch.cache_hits_disk)
-                    .count("chunks_shared", batch.chunks_shared)
-                    .count("regen_avoided_accesses", batch.regen_avoided_accesses)
-                    .count("simd_steps", batch.simd_steps)
-                    .count("simd_peels", batch.simd_peels)
-                    .count("simd_lanes_active", batch.simd_lanes_active));
-  // Tier attribution snapshot for the `c2b report` "== cache ==" section:
-  // process-wide sim-cache traffic split memory vs disk at the end of the
-  // sweep.
-  const exec::SimCacheStats cache = exec::SimCache::global().stats();
-  journal->emit(obs::JournalEvent("cache_tiers")
-                    .count("mem_hits", cache.hits)
-                    .count("misses", cache.misses)
-                    .count("mem_entries", cache.entries)
-                    .count("evictions", cache.evictions)
-                    .count("disk_attached", exec::SimCache::global().has_disk_tier() ? 1 : 0)
-                    .count("disk_hits", cache.disk_hits)
-                    .count("disk_misses", cache.disk_misses)
-                    .count("disk_entries", cache.disk_entries)
-                    .count("disk_flushes", cache.disk_flushes)
-                    .count("disk_drops", cache.disk_drops));
-}
-
 /// `c2b dse --help` / `c2b aps --help`: the request table plus the
 /// CLI-only flags.
 int print_sweep_help(SweepCommand command) {
@@ -808,16 +777,12 @@ int run(int argc, char** argv) {
   }
 
   if (recorder.journal != nullptr) {
-    obs::JournalEvent event("run_begin");
-    event.str("command", command);
-    event.count("threads", exec::thread_count());
     std::string argv_line;
     for (int i = 2; i < argc; ++i) {
       if (!argv_line.empty()) argv_line += ' ';
       argv_line += argv[i];
     }
-    event.str("argv", argv_line);
-    recorder.journal->emit(event);
+    recorder.journal->emit_run_begin(command, exec::thread_count(), argv_line);
   }
 
   int rc;
@@ -842,9 +807,7 @@ int run(int argc, char** argv) {
   }
   if (recorder.journal != nullptr) {
     recorder.journal->snapshot_metrics(/*force=*/true);
-    recorder.journal->emit(obs::JournalEvent("run_end")
-                               .count("exit_code", static_cast<std::uint64_t>(rc))
-                               .num("wall_ms", recorder.journal->elapsed_ms()));
+    recorder.journal->emit_run_end(rc);
     recorder.journal->flush();
     obs::set_active_journal(nullptr);
     std::printf("journal written to %s (%llu events)\n", journal_out.c_str(),
