@@ -19,8 +19,10 @@
 #include "c2b/obs/journal.h"
 #include "c2b/obs/obs.h"
 #include "c2b/sim/cache/cache.h"
+#include "c2b/sim/detector/detector.h"
 #include "c2b/sim/dram/dram.h"
 #include "c2b/sim/noc/noc.h"
+#include "c2b/sim/system/hierarchy.h"
 #include "c2b/sim/system/system.h"
 #include "c2b/solver/minimize.h"
 #include "c2b/solver/newton.h"
@@ -144,6 +146,73 @@ void bm_stack_distance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bm_stack_distance);
+
+// ---------------------------------------------------------------------------
+// C-AMAT detector
+
+/// One recorded access: the cycle the core issued it and the hierarchy's
+/// answer.
+struct RecordedAccess {
+  std::uint64_t issue = 0;
+  sim::AccessOutcome outcome;
+};
+
+/// The accesses of a 2-wide core with a 128-entry in-order ROB over a Zipf
+/// stream, as the default hierarchy times them: overlapping hit and miss
+/// intervals, some starts delayed by bank and MSHR scheduling.
+std::vector<RecordedAccess> record_detector_stream(std::size_t accesses) {
+  constexpr std::size_t kWidth = 2;
+  constexpr std::size_t kRob = 128;
+  sim::MemoryHierarchy hierarchy(sim::HierarchyConfig{});
+  ZipfStreamGenerator::Params p;
+  p.f_mem = 0.4;
+  p.working_set_lines = 1024;  // about a third of the accesses miss the L1
+  ZipfStreamGenerator generator(p);
+  std::vector<RecordedAccess> stream;
+  std::vector<std::uint64_t> retired_at(kRob, 0);  ///< ROB slot -> cycle it frees
+  std::uint64_t cycle = 0;
+  std::uint64_t last_retire = 0;
+  for (std::size_t i = 0; stream.size() < accesses; ++i) {
+    if (i % kWidth == 0 && i > 0) ++cycle;
+    cycle = std::max(cycle, retired_at[i % kRob]);
+    const TraceRecord r = generator.next();
+    std::uint64_t completion = cycle + 1;
+    if (r.kind != InstrKind::kCompute) {
+      const sim::AccessOutcome outcome =
+          hierarchy.access(0, r.address, r.kind == InstrKind::kStore, cycle);
+      completion = outcome.completion_cycle;
+      stream.push_back({cycle, outcome});
+    }
+    last_retire = std::max(last_retire, completion);
+    retired_at[i % kRob] = last_retire;
+  }
+  return stream;
+}
+
+/// CamatDetector cost per access on a recorded stream: record every access
+/// and fold at the simulator's 4096-cycle stride, then finalize. The 2k
+/// stream ends before its first stride fold, like every window of a DSE
+/// sweep, so finalize() does all the folding; the 50k stream folds ~15
+/// times on the way.
+void bm_detector_stream(benchmark::State& state) {
+  const std::vector<RecordedAccess> stream =
+      record_detector_stream(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sim::CamatDetector detector;
+    std::uint64_t last_fold = 0;
+    for (const RecordedAccess& a : stream) {
+      if (a.issue - last_fold >= 0x1000) {
+        detector.advance(a.issue);
+        last_fold = a.issue;
+      }
+      detector.record_access(a.outcome.start_cycle, a.outcome.hit_cycles,
+                             a.outcome.miss_penalty_cycles);
+    }
+    benchmark::DoNotOptimize(detector.finalize().camat_value);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(bm_detector_stream)->Arg(2'000)->Arg(50'000)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // End-to-end simulator

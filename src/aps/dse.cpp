@@ -92,17 +92,6 @@ void key_append(std::string& key, const sim::SystemConfig& config) {
   key_append(key, std::uint64_t{h.coherence ? 1u : 0u});
 }
 
-/// Empty when the workload carries no uid (hand-rolled spec: caching off).
-/// Layout: the stream-determining prefix (trace_class_key) followed by the
-/// timing-only config fields — so two keys share a prefix exactly when the
-/// designs share trace streams.
-std::string simulation_cache_key(const DseContext& context, const sim::SystemConfig& config) {
-  if (context.workload.uid.empty()) return {};
-  std::string key = trace_class_key(context, config.hierarchy.cores);
-  key_append(key, config);
-  return key;
-}
-
 /// The per-phase simulation setup simulate_design_time derives from
 /// (context, N): instruction counts, footprint scales, and capped windows.
 /// Shared by the per-point and batched paths so both simulate the exact
@@ -167,6 +156,23 @@ std::string trace_class_key(const DseContext& context, std::uint32_t cores) {
   key_append(key, context.instructions0);
   key_append(key, context.per_core_cap);
   key_append(key, std::uint64_t{cores});
+  return key;
+}
+
+std::string simulation_cache_key(const DseContext& context, const sim::SystemConfig& config) {
+  if (context.workload.uid.empty()) return {};
+  std::string key = trace_class_key(context, config.hierarchy.cores);
+  key_append(key, config);
+  return key;
+}
+
+std::string SimulationKeyBuilder::operator()(const sim::SystemConfig& config) {
+  if (context_.workload.uid.empty()) return {};
+  const std::uint32_t cores = config.hierarchy.cores;
+  auto it = class_keys_.find(cores);
+  if (it == class_keys_.end()) it = class_keys_.emplace(cores, trace_class_key(context_, cores)).first;
+  std::string key = it->second;
+  key_append(key, config);
   return key;
 }
 
@@ -497,9 +503,10 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
     // Reserved up front so the string_views the map holds never dangle.
     keys.reserve(points.size());
     std::unordered_map<std::string_view, std::size_t> group_by_key;
+    SimulationKeyBuilder key_of(context);
     for (std::size_t i = 0; i < points.size(); ++i) {
       sim::SystemConfig config = config_for_design(context, points[i]);
-      std::string key = simulation_cache_key(context, config);
+      std::string key = key_of(config);
       if (!key.empty())
         if (const auto it = group_by_key.find(key); it != group_by_key.end()) {
           group_of[i] = it->second;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,27 @@ double simulate_design_time(const DseContext& context, const std::vector<double>
 /// identifies streams within one DseContext (uids pin the generator family
 /// across contexts).
 std::string trace_class_key(const DseContext& context, std::uint32_t cores);
+
+/// SimCache key of a design: trace_class_key(context, N) followed by every
+/// timing field of `config`, so two keys share a prefix exactly when the
+/// designs share trace streams. Empty when the workload carries no uid
+/// (hand-rolled spec: caching off). Disk tiers persist these bytes, so a
+/// layout change orphans every entry an earlier build wrote.
+std::string simulation_cache_key(const DseContext& context, const sim::SystemConfig& config);
+
+/// simulation_cache_key for many configs of one context, building each
+/// trace_class_key once per distinct core count (the only field of it that
+/// varies within a context) instead of once per design. Byte-identical to
+/// simulation_cache_key.
+class SimulationKeyBuilder {
+ public:
+  explicit SimulationKeyBuilder(const DseContext& context) : context_(context) {}
+  std::string operator()(const sim::SystemConfig& config);
+
+ private:
+  const DseContext& context_;
+  std::map<std::uint32_t, std::string> class_keys_;  ///< trace_class_key by N
+};
 
 /// One simulate_design_time result, by value.
 struct BatchSimOutcome {

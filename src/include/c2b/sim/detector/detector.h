@@ -18,16 +18,25 @@
 // (ReferenceCamatDetector) bit for bit (tested differentially and by the
 // kernel-equivalence oracle).
 //
-// Unlike the seed implementation — which kept a dense (hits, misses) slot
+// Unlike the seed implementation, which kept a dense (hits, misses) slot
 // per live cycle and paid O(hit + penalty) slot increments per access,
-// the dominant simulator cost on stall-heavy workloads — this detector is
-// interval-based: record_access() appends the hit span and miss span as
-// [start, end) intervals in O(1), and advance() classifies whole constant-
-// concurrency segments at once with a boundary sweep. Every counter it
-// accumulates is an exact integer sum over cycles, so equal counts give
-// bit-identical finalized doubles.
+// this detector is interval-based: record_access() appends the hit span
+// and miss span as [start, end) intervals in O(1), and advance() folds
+// the live span [swept base, last live end) in one counting pass. Each
+// interval adds +1/-1 to a per-cycle difference array; one walk over the
+// span then yields every cycle's (hits, misses) pair, the five cycle
+// counters, and a prefix count of hit-covered cycles that gives each
+// finalized miss its coverage in O(1). The work is O(accesses + span).
+// A span longer than 4 cycles per interval endpoint (plus 64) is sparse:
+// idle gaps between accesses, or long miss penalties on a backlogged
+// memory system. It is folded instead by sorting interval endpoints and
+// classifying whole constant-concurrency segments, O(k log k) in the k
+// live intervals, so no fold walks more than a few cycles per interval.
+// Every counter either path accumulates is an exact
+// integer sum over cycles, so equal counts give bit-identical finalized
+// doubles.
 //
-// Why the sweep is exact (same numbers as the per-cycle reference):
+// Why the fold is exact (same numbers as the per-cycle reference):
 //  * A miss's own span contributes miss activity to every cycle of
 //    [miss_start, miss_end), so "pure" cycles of that miss (no hit
 //    activity, some miss activity) are exactly the span cycles not
@@ -35,10 +44,11 @@
 //    All hit intervals that can overlap the span exist when the miss is
 //    finalized, because finalization requires miss_end <= watermark and
 //    every future access starts at or after the watermark.
-//  * Per-cycle classification (hit cycle / pure-miss cycle / idle) and
-//    the per-cycle sums (hits, misses) are piecewise constant between
-//    interval endpoints, so summing segment_length * concurrency over
-//    sweep segments reproduces the per-cycle totals exactly.
+//  * Per-cycle classification (hit cycle / pure-miss cycle / idle) reads
+//    only the cycle's (hits, misses) pair, which the difference array
+//    reproduces exactly, and which is constant between interval endpoints
+//    (so summing segment_length * concurrency over sorted segments gives
+//    the same totals).
 
 #include <cstddef>
 #include <cstdint>
@@ -95,6 +105,14 @@ class CamatDetector {
     return max_live_end_ > swept_base_ ? max_live_end_ - swept_base_ : 0;
   }
 
+  /// advance() calls that folded by the counting pass and by the sorted
+  /// sweep (calls with nothing live count in neither).
+  struct PassCounts {
+    std::uint64_t counting = 0;
+    std::uint64_t sorted = 0;
+  };
+  PassCounts pass_counts() const noexcept { return pass_counts_; }
+
  private:
   struct Interval {
     std::uint64_t start = 0;
@@ -104,35 +122,35 @@ class CamatDetector {
     std::uint64_t miss_start = 0;
     std::uint32_t miss_cycles = 0;
   };
-  struct Boundary {
-    std::uint64_t cycle = 0;
-    std::int32_t hit_delta = 0;
-    std::int32_t miss_delta = 0;
-  };
+  /// Per-thread scratch buffers of advance() (defined in detector.cpp).
+  struct Scratch;
+  static Scratch& scratch();
 
-  /// Rebuild hit_union_ / hit_union_prefix_ from the live hit intervals.
-  void build_hit_union();
-  /// Cycles of [start, end) covered by the union of live hit intervals.
-  std::uint64_t hit_coverage(std::uint64_t start, std::uint64_t end) const;
-  /// Classify [swept_base_, upto) segment-by-segment and drop/trim the
-  /// intervals that fall entirely below it.
-  void sweep_classification(std::uint64_t upto);
+  /// Pass 1: finalize every pending miss that ends at or below `watermark`,
+  /// given the hit-covered cycle count of a [start, end) query.
+  template <typename Coverage>
+  void finalize_misses(std::uint64_t watermark, Coverage&& hit_coverage);
+  /// Both passes by one walk over the cycles [swept_base_, span_end);
+  /// classifies the cycles below classify_end.
+  void count_span(std::uint64_t span_end, std::uint64_t classify_end, std::uint64_t watermark);
+  /// Both passes by sorting interval endpoints (sparse spans); classifies
+  /// the cycles below classify_end.
+  void sort_span(std::uint64_t classify_end, std::uint64_t watermark);
+  /// Disjoint sorted union of the live hit intervals, with prefix sums.
+  void build_hit_union(Scratch& s) const;
+  /// Cycles of [start, end) covered by the union build_hit_union() left.
+  static std::uint64_t hit_coverage(const Scratch& s, std::uint64_t start, std::uint64_t end);
 
-  /// Live (unclassified) activity intervals. Unordered pools: the sweep
-  /// sorts boundary events per advance, so out-of-order starts (bank
-  /// scheduling can reorder them) need no special casing. Compaction is
-  /// in place — steady state allocates nothing.
+  /// Live (unclassified) activity intervals, unordered: bank scheduling can
+  /// reorder starts, and neither fold path needs them sorted. Compaction is
+  /// in place, so steady state allocates nothing.
   std::vector<Interval> hit_intervals_;
   std::vector<Interval> miss_intervals_;
   /// In-flight misses awaiting pure/overlapped classification.
   std::vector<PendingMiss> pending_misses_;
   std::uint64_t swept_base_ = 0;    ///< all cycles below are classified
   std::uint64_t max_live_end_ = 0;  ///< max end over intervals ever recorded
-
-  // Scratch buffers reused across advance() calls.
-  std::vector<Interval> hit_union_;            ///< disjoint, sorted by start
-  std::vector<std::uint64_t> hit_union_prefix_;  ///< covered cycles before entry i
-  std::vector<Boundary> boundaries_;
+  PassCounts pass_counts_;
 
   detail::DetectorCounters counters_;
 };

@@ -1,7 +1,7 @@
 #pragma once
 
 // The seed per-cycle C-AMAT detector, retained verbatim as the
-// differential baseline for the interval-sweep CamatDetector (see
+// differential baseline for the interval-based CamatDetector (see
 // detector.h). It models every live cycle as a (hits, misses) slot in a
 // dense ring and pays O(hit + penalty) slot updates per access — exactly
 // the cost profile the production detector replaces, which is why the

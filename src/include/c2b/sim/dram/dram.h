@@ -56,7 +56,8 @@ class DramModel {
   const DramConfig& config() const noexcept { return config_; }
 
   /// Add the sim.dram.queue_depth histogram tallied so far to the process
-  /// registry. Call once, at the end of the owning replay.
+  /// registry. Call once, at the end of the owning replay. The histogram
+  /// is tallied only if telemetry was on when the model was constructed.
   void flush_telemetry() const;
 
   /// Unloaded latency of a row-buffer hit / empty / conflict access (used by
@@ -81,6 +82,7 @@ class DramModel {
   std::uint64_t bus_free_ = 0;
   DramStats stats_;
   obs::LocalHistogram queue_depth_{0.0, 64.0, 64};  ///< backlog on arrival, in bursts
+  bool tally_telemetry_;  ///< telemetry was on at construction: tally queue_depth_
 };
 
 }  // namespace c2b::sim

@@ -115,7 +115,8 @@ class MemoryHierarchy {
   /// Add this hierarchy's telemetry to the process registry: the sim.l1.*
   /// and sim.l2.* counters and the MSHR, NoC and DRAM histograms, tallied
   /// in plain fields during the run. Call once, when the replay that owns
-  /// the hierarchy ends; a no-op when telemetry is off.
+  /// the hierarchy ends; a no-op when telemetry is off. The histograms are
+  /// tallied only if telemetry was on when the hierarchy was constructed.
   void flush_telemetry() const;
 
  private:
@@ -153,6 +154,8 @@ class MemoryHierarchy {
 
   MeshNoc noc_;
   DramModel dram_;
+  /// Telemetry was on at construction: tally the MSHR and NoC histograms.
+  bool tally_telemetry_;
   std::optional<Directory> directory_;
 
   ApcCounter apc_l1_;

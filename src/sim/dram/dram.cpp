@@ -13,7 +13,8 @@ void DramConfig::validate() const {
               "DRAM timing parameters must be positive");
 }
 
-DramModel::DramModel(const DramConfig& config) : config_(config) {
+DramModel::DramModel(const DramConfig& config)
+    : config_(config), tally_telemetry_(C2B_OBS_ACTIVE()) {
   config_.validate();
   banks_.resize(config_.banks);
 }
@@ -50,8 +51,9 @@ std::uint64_t DramModel::access(std::uint64_t line, std::uint64_t arrival_cycle)
   stats_.busy_cycle_estimate += config_.t_bus;
   // Queueing delay ahead of this request, expressed in burst slots: how many
   // bursts deep the bank + bus backlog effectively was on arrival.
-  queue_depth_.record(static_cast<double>(burst_start - arrival_cycle) /
-                      static_cast<double>(config_.t_bus));
+  if (tally_telemetry_)
+    queue_depth_.record(static_cast<double>(burst_start - arrival_cycle) /
+                        static_cast<double>(config_.t_bus));
   return completion;
 }
 

@@ -21,6 +21,7 @@
 #include <limits>
 #include <vector>
 
+#include "c2b/obs/obs.h"
 #include "c2b/obs/registry.h"
 #include "c2b/sim/system/system.h"
 
@@ -128,8 +129,10 @@ struct MemberState {
 
   std::uint64_t consumed = 0;  ///< trace records consumed across cursors
 
-  /// ROB occupancy sampled at each detector fold (sim.core.rob_occupancy).
+  /// ROB occupancy sampled at each detector fold (sim.core.rob_occupancy),
+  /// tallied only when telemetry was on as the replay started.
   obs::LocalHistogram rob_occupancy{0.0, 256.0, 64};
+  bool tally_telemetry = C2B_OBS_ACTIVE();
   bool telemetry_flushed = false;
 
   // Vectorization accounting (read by the batch kernel's telemetry): every
@@ -162,6 +165,18 @@ struct MemberState {
 
   /// Final per-member SystemResult; folds the detectors (one-shot).
   SystemResult build_result();
+
+  /// Every kDetectorStride cycles, fold core c's finished cycles into its
+  /// detector so the live window stays bounded, and sample its ROB
+  /// occupancy. Any watermark <= `cycle` is safe (every future access
+  /// starts at or after `cycle`), and the fold cadence does not affect the
+  /// finalized metrics (see system.cpp's header comment).
+  void fold_detector(std::size_t c, std::uint64_t cycle) {
+    if (cycle - lanes.last_detector_fold[c] < kDetectorStride) return;
+    lanes.last_detector_fold[c] = cycle;
+    lanes.detectors[c].advance(cycle);
+    if (tally_telemetry) rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
+  }
 };
 
 /// One event-kernel step for core `c` of member `s` at `cycle`: retire,
@@ -209,11 +224,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       lanes.retired[c] += batches * width;
       const std::uint64_t resume = cycle + batches;
       lanes.last_retire_cycle[c] = resume;
-      if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-        lanes.last_detector_fold[c] = cycle;
-        lanes.detectors[c].advance(cycle);
-        s.rob_occupancy.record(0.0);
-      }
+      s.fold_detector(c, cycle);
       // Resume later instead of continuing in place: cores with earlier
       // pending events must reach the hierarchy first.
       return resume;
@@ -269,11 +280,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
                      static_cast<std::uint32_t>((first_group + 1) * width - first_push));
       for (std::uint64_t g = first_group + 1; g < batches; ++g)
         lanes.rob_push(c, cycle + g + 1, width);
-      if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-        lanes.last_detector_fold[c] = cycle;
-        lanes.detectors[c].advance(cycle);
-        s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
-      }
+      s.fold_detector(c, cycle);
       return cycle + batches;
     }
   }
@@ -313,15 +320,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
     ++issued_now;
   }
 
-  // Periodically fold finished cycles into the detector's counters so its
-  // live window stays bounded. Any watermark <= `cycle` is safe (every
-  // future access starts at or after `cycle`), and the fold cadence does
-  // not affect the finalized metrics (see system.cpp's header comment).
-  if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-    lanes.last_detector_fold[c] = cycle;
-    lanes.detectors[c].advance(cycle);
-    s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
-  }
+  s.fold_detector(c, cycle);
 
   // ---- Next wake: the earliest cycle this core can act again ----
   std::uint64_t wake = kNever;

@@ -32,7 +32,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
         n.nodes = std::max(n.nodes, config.cores);
         return n;
       }()),
-      dram_(config.dram) {
+      dram_(config.dram),
+      tally_telemetry_(C2B_OBS_ACTIVE()) {
   config_.validate();
   if (config_.coherence) directory_.emplace(config_.cores);
   prefetched_pending_.resize(config_.cores);
@@ -116,7 +117,8 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
 
   // ---- L1 miss: allocate/merge an MSHR ----
   const MshrFile::Grant grant = l1_mshr_[core].request(line, lookup_done);
-  l1_mshr_occupancy_.record(static_cast<double>(l1_mshr_[core].in_flight()));
+  if (tally_telemetry_)
+    l1_mshr_occupancy_.record(static_cast<double>(l1_mshr_[core].in_flight()));
   if (grant.merged && grant.merged_completion > lookup_done) {
     outcome.completion_cycle = grant.merged_completion;
     outcome.level = ServiceLevel::kL2;  // rides the primary miss
@@ -138,7 +140,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   const std::uint64_t to_slice = noc_.latency(core_node, slice);
   const std::uint64_t from_slice = to_slice;  // symmetric route
   noc_.round_trip(core_node, slice);          // traffic bookkeeping
-  noc_round_trip_.record(static_cast<double>(2 * to_slice));
+  if (tally_telemetry_) noc_round_trip_.record(static_cast<double>(2 * to_slice));
 
   const std::uint64_t l2_arrival = service_start + to_slice;
   const std::uint64_t l2_start = l2_sched_.schedule(line, l2_arrival);

@@ -55,6 +55,7 @@ SystemResult simulate_system_reference(const SystemConfig& config,
   const std::uint32_t rob_size = config.core.rob_size;
 
   obs::LocalHistogram rob_occupancy(0.0, 256.0, 64);
+  const bool tally_telemetry = C2B_OBS_ACTIVE();
 
   std::uint64_t cycle = 0;
   for (;;) {
@@ -117,7 +118,7 @@ SystemResult simulate_system_reference(const SystemConfig& config,
       // after `cycle`, so `cycle` is always a safe watermark).
       if ((cycle & 0xFFF) == 0) {
         core.detector.advance(cycle);
-        rob_occupancy.record(static_cast<double>(core.rob.size()));
+        if (tally_telemetry) rob_occupancy.record(static_cast<double>(core.rob.size()));
       }
     }
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "c2b/aps/dse.h"
 #include "c2b/exec/sim_cache.h"
 #include "c2b/trace/workloads.h"
@@ -126,6 +129,39 @@ TEST_F(SimCacheKeyTest, EmptyUidDisablesCaching) {
   (void)simulate_design_time(context, kPoint);
   (void)simulate_design_time(context, kPoint);
   EXPECT_EQ(hits(), 0u) << "hand-rolled specs without a uid must not be cached";
+}
+
+// The batched sweep keys its designs through SimulationKeyBuilder, which
+// builds each trace_class_key once per core count. Every key it builds must
+// equal the per-design key byte for byte, or disk tiers written by earlier
+// builds stop hitting.
+TEST(SimulationKeyBuilder, MatchesPerDesignKeyOnEveryLargeAxesPoint) {
+  const DseContext context = tiny_context();
+  SimulationKeyBuilder key_of(context);
+  std::size_t points = 0;
+  make_design_space(make_large_axes()).for_each([&](std::size_t, const std::vector<double>& point) {
+    const sim::SystemConfig config = config_for_design(context, point);
+    ASSERT_EQ(key_of(config), simulation_cache_key(context, config)) << "point " << points;
+    ++points;
+  });
+  EXPECT_EQ(points, 122'880u);
+}
+
+TEST(SimulationKeyBuilder, EmptyUidGivesEmptyKey) {
+  DseContext context = tiny_context();
+  context.workload.uid.clear();
+  EXPECT_EQ(SimulationKeyBuilder(context)(config_for_design(context, kPoint)), "");
+}
+
+// The key bytes of one design, as every earlier build wrote them to disk.
+TEST(SimulationKeyBuilder, KeyLayoutIsPinned) {
+  const DseContext context = tiny_context();
+  const std::string key = simulation_cache_key(context, config_for_design(context, kPoint));
+  EXPECT_EQ(key,
+            "stencil/64|0.029999999999999999|g(N) = N (memory-linear, Gustafson)|"
+            "1|1|2|2|7|7|64|64|1|1|11|4000|2000|1|"
+            "4|128|2|1|8192|64|4|65536|64|8|3|4|2|8|12|16|1|32|16|2|1|0.25|8|128|22|22|22|4|"
+            "0|0|2|8|2|0|");
 }
 
 }  // namespace

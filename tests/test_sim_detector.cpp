@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 
 #include "c2b/common/rng.h"
@@ -92,12 +93,34 @@ TEST_P(DetectorEquivalence, OnlineEqualsOffline) {
 INSTANTIATE_TEST_SUITE_P(RandomStreams, DetectorEquivalence,
                          ::testing::Range<std::uint64_t>(100, 124));
 
-// Property: the interval-sweep detector must match the retained seed
+// Property: the interval-based detector must match the retained seed
 // per-cycle detector counter for counter on random streams, including
 // out-of-order start cycles (bank scheduling reorders them in the real
 // simulator) and an adversarial advance cadence where only one side folds
 // incrementally. Finalized metrics are cadence-independent, so the two
 // sides may legally advance at different watermarks.
+/// Counter-for-counter equality of two finalized detectors. Equal integer
+/// counters must give bit-identical doubles: assembly is the shared
+/// detail::assemble_detector_metrics.
+void expect_same_metrics(const TimelineMetrics& a, const TimelineMetrics& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.pure_misses, b.pure_misses);
+  EXPECT_EQ(a.hit_cycle_count, b.hit_cycle_count);
+  EXPECT_EQ(a.hit_access_cycles, b.hit_access_cycles);
+  EXPECT_EQ(a.pure_miss_cycle_count, b.pure_miss_cycle_count);
+  EXPECT_EQ(a.pure_miss_access_cycles, b.pure_miss_access_cycles);
+  EXPECT_EQ(a.memory_active_cycles, b.memory_active_cycles);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.amat_value), std::bit_cast<std::uint64_t>(b.amat_value));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.camat_value),
+            std::bit_cast<std::uint64_t>(b.camat_value));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.camat_direct),
+            std::bit_cast<std::uint64_t>(b.camat_direct));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.apc), std::bit_cast<std::uint64_t>(b.apc));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.concurrency_c),
+            std::bit_cast<std::uint64_t>(b.concurrency_c));
+}
+
 class DetectorDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DetectorDifferential, SweepMatchesReferencePerCycle) {
@@ -123,31 +146,67 @@ TEST_P(DetectorDifferential, SweepMatchesReferencePerCycle) {
     if (rng.bernoulli(0.3)) sweep.advance(issue);
     if (rng.bernoulli(0.3)) reference.advance(issue);
   }
-  const TimelineMetrics a = sweep.finalize();
-  const TimelineMetrics b = reference.finalize();
-
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.pure_misses, b.pure_misses);
-  EXPECT_EQ(a.hit_cycle_count, b.hit_cycle_count);
-  EXPECT_EQ(a.hit_access_cycles, b.hit_access_cycles);
-  EXPECT_EQ(a.pure_miss_cycle_count, b.pure_miss_cycle_count);
-  EXPECT_EQ(a.pure_miss_access_cycles, b.pure_miss_access_cycles);
-  EXPECT_EQ(a.memory_active_cycles, b.memory_active_cycles);
-  // Equal integer counters must give bit-identical doubles: assembly is the
-  // shared detail::assemble_detector_metrics.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.amat_value), std::bit_cast<std::uint64_t>(b.amat_value));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.camat_value),
-            std::bit_cast<std::uint64_t>(b.camat_value));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.camat_direct),
-            std::bit_cast<std::uint64_t>(b.camat_direct));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.apc), std::bit_cast<std::uint64_t>(b.apc));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.concurrency_c),
-            std::bit_cast<std::uint64_t>(b.concurrency_c));
+  expect_same_metrics(sweep.finalize(), reference.finalize());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomStreams, DetectorDifferential,
                          ::testing::Range<std::uint64_t>(500, 540));
+
+// Property: the same counter-for-counter match on streams whose fold spans
+// are sparse, so advance() takes its sorted-sweep path as well as the
+// counting pass. Each stream is a few bursts of accesses separated by idle
+// gaps of 10^5 cycles or more, with long miss penalties that straddle
+// folds (some outlive the gap) and folds whose watermark is exactly a
+// pending miss start. A fold after a gap still holds the tail of the
+// previous burst, so its span covers the gap. The reference detector's
+// ring is per cycle, so the streams keep few accesses.
+class DetectorSparseSpans : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DetectorSparseSpans, BothFoldPathsMatchReferencePerCycle) {
+  Rng rng(GetParam());
+  CamatDetector sweep;
+  ReferenceCamatDetector reference;
+  auto fold = [&](std::uint64_t watermark) {
+    sweep.advance(watermark);
+    reference.advance(watermark);
+  };
+  std::uint64_t issue = 0;
+  bool first = true;
+  const int bursts = 3 + static_cast<int>(rng.uniform_below(3));
+  for (int b = 0; b < bursts; ++b) {
+    const int count = 10 + static_cast<int>(rng.uniform_below(40));
+    for (int i = 0; i < count; ++i) {
+      issue += rng.uniform_below(4);
+      const std::uint64_t start = first ? issue : issue + rng.uniform_below(6);
+      first = false;
+      const auto hit = 1 + static_cast<std::uint32_t>(rng.uniform_below(4));
+      std::uint32_t penalty = 0;
+      if (rng.bernoulli(0.05))
+        penalty = 100'000 + static_cast<std::uint32_t>(rng.uniform_below(100'000));
+      else if (rng.bernoulli(0.15))
+        penalty = 200 + static_cast<std::uint32_t>(rng.uniform_below(5'000));
+      else if (rng.bernoulli(0.4))
+        penalty = 1 + static_cast<std::uint32_t>(rng.uniform_below(40));
+      sweep.record_access(start, hit, penalty);
+      reference.record_access(start, hit, penalty);
+      if (penalty > 0 && rng.bernoulli(0.2)) {
+        // Watermark exactly at this access's pending miss start; later
+        // accesses start at or after it.
+        issue = std::max(issue, start + hit);
+        fold(start + hit);
+      } else if (rng.bernoulli(0.25)) {
+        fold(issue);
+      }
+    }
+    issue += 100'000 + rng.uniform_below(50'000);
+  }
+  expect_same_metrics(sweep.finalize(), reference.finalize());
+  EXPECT_GT(sweep.pass_counts().counting, 0u);
+  EXPECT_GT(sweep.pass_counts().sorted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomStreams, DetectorSparseSpans,
+                         ::testing::Range<std::uint64_t>(700, 724));
 
 // ---------------------------------------------------------------------------
 // APC counter

@@ -270,6 +270,42 @@ TEST(SimTelemetry, RuntimeDisabledRunFlushesNothing) {
   EXPECT_EQ(render(sim_snapshot()), "");
 }
 
+// A replay that starts with telemetry off tallies none of its histograms
+// (the per-L1-miss, per-DRAM-access and per-fold samples), even when
+// telemetry is back on by the time it flushes; its plain counters still
+// flush. The same replay started with telemetry on fills all four.
+TEST(SimTelemetry, ReplayStartedWithTelemetryOffTalliesNoHistogram) {
+  if (!C2B_OBS_ACTIVE()) GTEST_SKIP() << "telemetry is off";
+  GlobalDefaults restore;
+  const std::vector<Trace> traces = kernel_traces();
+  const std::uint64_t half = (traces[0].records.size() + traces[1].records.size()) / 2;
+  auto flushed_after_half_replay = [&](bool on_at_start) {
+    obs::Registry::global().reset_values();
+    {
+      VectorTraceCursor core0(traces[0]);
+      VectorTraceCursor core1(traces[1]);
+      obs::set_enabled(on_at_start);
+      sim::SystemReplay replay(kernel_config(), {&core0, &core1});
+      EXPECT_FALSE(replay.advance_until(half));
+      obs::set_enabled(true);
+    }  // destroying the unfinished replay flushes it, with telemetry on
+    return sim_snapshot();
+  };
+
+  PinnedSnapshot on = flushed_after_half_replay(true);
+  std::vector<std::string> names;
+  for (const PinnedHistogram& h : on.histograms) names.push_back(h.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"sim.core.rob_occupancy", "sim.dram.queue_depth",
+                                             "sim.l1.mshr_occupancy",
+                                             "sim.noc.round_trip_cycles"}));
+
+  const PinnedSnapshot off = flushed_after_half_replay(false);
+  // sim.system.runs counts when the replay starts, while telemetry is off.
+  std::erase_if(on.counters, [](const auto& c) { return c.first == "sim.system.runs"; });
+  EXPECT_EQ(off.counters, on.counters);
+  EXPECT_TRUE(off.histograms.empty()) << render(off);
+}
+
 // A replay destroyed before it finishes still flushes what it simulated,
 // exactly once: nothing reaches the registry mid-run, and moving the
 // replay neither loses nor repeats the flush.
