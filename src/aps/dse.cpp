@@ -1,11 +1,12 @@
 #include "c2b/aps/dse.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -43,19 +44,7 @@ std::uint64_t pow2_capacity(double bytes, std::uint32_t line_bytes, std::uint32_
 // Every field simulate_design_time's result depends on, spelled out
 // exactly; see c2b/exec/sim_cache.h for the contract.
 
-void key_append(std::string& key, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64 "|", v);
-  key += buf;
-}
-
-void key_append(std::string& key, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g|", v);
-  key += buf;
-}
-
-void key_append(std::string& key, const sim::SystemConfig& config) {
+void key_append_config(std::string& key, const sim::SystemConfig& config) {
   key_append(key, std::uint64_t{config.core.issue_width});
   key_append(key, std::uint64_t{config.core.rob_size});
   key_append(key, std::uint64_t{config.core.functional_units});
@@ -132,6 +121,23 @@ PhasePlan make_phase_plan(const DseContext& context, std::uint32_t cores) {
 
 }  // namespace
 
+void key_append(std::string& key, std::uint64_t value) {
+  char buf[24];
+  char* const end = std::to_chars(buf, buf + sizeof buf - 1, value).ptr;
+  *end = '|';
+  key.append(buf, end + 1);
+}
+
+void key_append(std::string& key, double value) {
+  char buf[32];
+  // General format at precision 17 is printf's "%.17g" in the C locale,
+  // without printf's format parsing and locale lookup.
+  char* const end =
+      std::to_chars(buf, buf + sizeof buf - 1, value, std::chars_format::general, 17).ptr;
+  *end = '|';
+  key.append(buf, end + 1);
+}
+
 std::string trace_class_key(const DseContext& context, std::uint32_t cores) {
   std::string key;
   key.reserve(256);
@@ -162,7 +168,7 @@ std::string trace_class_key(const DseContext& context, std::uint32_t cores) {
 std::string simulation_cache_key(const DseContext& context, const sim::SystemConfig& config) {
   if (context.workload.uid.empty()) return {};
   std::string key = trace_class_key(context, config.hierarchy.cores);
-  key_append(key, config);
+  key_append_config(key, config);
   return key;
 }
 
@@ -172,7 +178,7 @@ std::string SimulationKeyBuilder::operator()(const sim::SystemConfig& config) {
   auto it = class_keys_.find(cores);
   if (it == class_keys_.end()) it = class_keys_.emplace(cores, trace_class_key(context_, cores)).first;
   std::string key = it->second;
-  key_append(key, config);
+  key_append_config(key, config);
   return key;
 }
 
@@ -630,48 +636,56 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
               .count("cores", configs[units[u].members.front()].hierarchy.cores)
               .count("members", units[u].members.size()));
 
-  // One unit per pool task; parallel_map keeps results in unit order, and
-  // each unit only writes its own slot, so the reduction below is serial
-  // and index-ordered — the same determinism shape as the PR 2 sweeps.
-  const std::vector<BatchUnitResult> unit_results =
-      exec::ThreadPool::global().parallel_map<BatchUnitResult>(
-          units.size(), [&](std::size_t u) {
-            const auto start = std::chrono::steady_clock::now();
-            BatchUnitResult result =
-                run_batch_unit(context, configs, units[u], &prototypes[units[u].class_index]);
-            const double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            C2B_HISTOGRAM_RECORD("aps.batch.unit_wall_ms", 0.0, 250.0, 50, wall_ms);
-            // Completed events come from pool workers: per-event order is
-            // arbitrary, but the (unit, cores, members, config) multiset is
-            // identical for every thread count (wall_ms is wall clock and
-            // of course is not).
-            const BatchUnit& unit = units[u];
-            if (obs::RunJournal* active = obs::active_journal()) {
-              const std::vector<double>& point = points[representative[unit.members.front()]];
-              char config_buf[96];
-              std::snprintf(config_buf, sizeof config_buf,
-                            "n=%.0f a0=%g a1=%g a2=%g issue=%.0f rob=%.0f",
-                            point[kAxisN], point[kAxisA0], point[kAxisA1],
-                            point[kAxisA2], point[kAxisIssue], point[kAxisRob]);
-              active->emit(
-                  obs::JournalEvent("class_completed")
-                      .count("unit", u)
-                      .count("cores", configs[unit.members.front()].hierarchy.cores)
-                      .count("members", unit.members.size())
-                      .num("wall_ms", wall_ms)
-                      .str("config", config_buf));
-              active->snapshot_metrics();
-            }
-            if (obs::ProgressMeter* progress = obs::active_progress()) {
-              std::size_t resolved = 0;  // the unit's configs plus their duplicates
-              for (const std::size_t g : unit.members) resolved += group_points[g];
-              progress->advance(static_cast<double>(resolved));
-            }
-            return result;
-          });
+  // Run the units heaviest-first: simulation cost grows with the core
+  // count and the member count, and the units were laid out N-ascending,
+  // so any split in unit order leaves the last executor holding every
+  // large-N unit while the others idle. Executors claim one unit at a time
+  // in this order, and each unit writes only its own slot, so the
+  // reduction below stays serial and in unit order — bit-identical at any
+  // thread count.
+  std::vector<std::size_t> claim_order(units.size());
+  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+  std::stable_sort(claim_order.begin(), claim_order.end(), [&](std::size_t a, std::size_t b) {
+    const std::uint32_t cores_a = class_cores[units[a].class_index];
+    const std::uint32_t cores_b = class_cores[units[b].class_index];
+    if (cores_a != cores_b) return cores_a > cores_b;
+    return units[a].members.size() > units[b].members.size();
+  });
+  std::vector<BatchUnitResult> unit_results(units.size());
+  exec::ThreadPool::global().parallel_claim(claim_order.size(), [&](std::size_t claim) {
+    const std::size_t u = claim_order[claim];
+    const BatchUnit& unit = units[u];
+    const auto start = std::chrono::steady_clock::now();
+    unit_results[u] = run_batch_unit(context, configs, unit, &prototypes[unit.class_index]);
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    C2B_HISTOGRAM_RECORD("aps.batch.unit_wall_ms", 0.0, 250.0, 50, wall_ms);
+    // Completed events come from pool workers: per-event order is
+    // arbitrary, but the (unit, cores, members, config) multiset is
+    // identical for every thread count (wall_ms is wall clock and of
+    // course is not).
+    if (obs::RunJournal* active = obs::active_journal()) {
+      const std::vector<double>& point = points[representative[unit.members.front()]];
+      char config_buf[96];
+      std::snprintf(config_buf, sizeof config_buf,
+                    "n=%.0f a0=%g a1=%g a2=%g issue=%.0f rob=%.0f", point[kAxisN],
+                    point[kAxisA0], point[kAxisA1], point[kAxisA2], point[kAxisIssue],
+                    point[kAxisRob]);
+      active->emit(obs::JournalEvent("class_completed")
+                       .count("unit", u)
+                       .count("cores", class_cores[unit.class_index])
+                       .count("members", unit.members.size())
+                       .num("wall_ms", wall_ms)
+                       .str("config", config_buf));
+      active->snapshot_metrics();
+    }
+    if (obs::ProgressMeter* progress = obs::active_progress()) {
+      std::size_t resolved = 0;  // the unit's configs plus their duplicates
+      for (const std::size_t g : unit.members) resolved += group_points[g];
+      progress->advance(static_cast<double>(resolved));
+    }
+  });
 
   // Serial scatter: each replayed config lands on its representative
   // point and is inserted into the cache once; every duplicate then copies

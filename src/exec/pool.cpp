@@ -1,5 +1,6 @@
 #include "c2b/exec/pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -262,6 +263,16 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, const ChunkBod
                        [&] { return batch.remaining.load(std::memory_order_acquire) == 0; });
   }
   if (batch.error) std::rethrow_exception(batch.error);
+}
+
+void ThreadPool::parallel_claim(std::size_t count,
+                                const std::function<void(std::size_t)>& fn) {
+  // One chunk per executor (parallel_for's chunks are single indices at
+  // this count), each claiming indices until the cursor passes the end.
+  std::atomic<std::size_t> next{0};
+  parallel_for(0, std::min(count, thread_count_), [&](std::size_t, std::size_t) {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) fn(i);
+  });
 }
 
 ThreadPool& ThreadPool::global() {

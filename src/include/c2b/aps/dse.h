@@ -123,6 +123,13 @@ bool design_feasible(const DseContext& context, const std::vector<double>& point
 double simulate_design_time(const DseContext& context, const std::vector<double>& point,
                             std::uint64_t* memory_accesses = nullptr);
 
+/// Append one numeric key field and its '|' terminator: the decimal of an
+/// integer, or a double as printf "%.17g" writes it in the C locale (17
+/// significant digits, so it round-trips). Disk tiers persist these bytes,
+/// so the rendering must never change.
+void key_append(std::string& key, std::uint64_t value);
+void key_append(std::string& key, double value);
+
 /// Stream-determining key of a design: every field that decides which trace
 /// records the simulator consumes — workload uid + numeric g/memory_scale
 /// samples (including at the actual core count), f_seq, seed, IC0, window

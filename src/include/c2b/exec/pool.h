@@ -13,8 +13,9 @@
 // index being visited exactly once and writing only its own output slot,
 // with any reduction over those slots performed serially in index order
 // (as parallel_map's callers do). Do not rely on which indices share a
-// chunk. At threads=1 the same code path executes the chunks inline, in
-// ascending order, on the calling thread — the exact serial fallback.
+// chunk, or, under parallel_claim, on which executor claims an index. At
+// threads=1 the same code path executes the chunks inline, in ascending
+// order, on the calling thread — the exact serial fallback.
 // Nested parallel_for calls (a task that itself forks) run inline serially
 // on the executing thread, which both preserves determinism and makes
 // nesting deadlock-free.
@@ -62,6 +63,15 @@ class ThreadPool {
     });
     return out;
   }
+
+  /// Claimed map: fn(i) for every i in [0, count), each executor claiming
+  /// the next unclaimed index from one shared cursor. Indices start in
+  /// ascending order and no executor idles while one is unclaimed, so a
+  /// caller that orders its work heaviest-first ends the batch on its
+  /// lightest items instead of on one chunk of heavy ones. Same contract
+  /// as parallel_for: fn(i) writes only its own slot, and a nested call or
+  /// a one-thread pool runs every index inline in ascending order.
+  void parallel_claim(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// The process-wide pool, created on first use with the configured
   /// thread count (see set_thread_count / C2B_THREADS).

@@ -52,4 +52,15 @@ if(found EQUAL -1)
   message(FATAL_ERROR "heatmap CSV malformed:\n${heatmap_text}")
 endif()
 
+# `c2b report --help` prints its usage and succeeds, like `dse --help`.
+execute_process(
+  COMMAND "${C2B_BIN}" report --help
+  RESULT_VARIABLE help_rc
+  OUTPUT_VARIABLE help_out
+  ERROR_VARIABLE help_err)
+string(FIND "${help_out}" "usage: c2b report --journal" found)
+if(NOT help_rc EQUAL 0 OR found EQUAL -1)
+  message(FATAL_ERROR "c2b report --help: want exit 0 and usage, got ${help_rc}:\n${help_out}\n${help_err}")
+endif()
+
 message(STATUS "flight recorder smoke OK")

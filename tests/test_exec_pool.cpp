@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace c2b::exec {
@@ -118,6 +119,55 @@ TEST(ThreadPool, GrainLowerBoundsChunkSize) {
       },
       /*grain=*/50);
   EXPECT_EQ(chunks.load(), 2u);
+}
+
+TEST(ThreadPool, ClaimVisitsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    // Fewer, equal and more indices than executors.
+    for (const std::size_t count : {std::size_t{0}, std::size_t{1}, threads, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> visits(count);
+      pool.parallel_claim(count, [&](std::size_t i) {
+        visits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "threads " << threads << " count " << count << " i " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, SingleThreadClaimRunsInAscendingOrderInline) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_claim(200, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 200u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ThreadPool, NestedClaimRunsInlineInOrder) {
+  ThreadPool pool(4);
+  std::vector<std::vector<std::size_t>> inner_orders(8);
+  pool.parallel_claim(8, [&](std::size_t outer) {
+    pool.parallel_claim(5, [&](std::size_t i) { inner_orders[outer].push_back(i); });
+  });
+  for (const std::vector<std::size_t>& order : inner_orders)
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, ClaimPropagatesTaskException) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_claim(100,
+                                   [](std::size_t i) {
+                                     if (i == 7) throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
+  std::atomic<std::size_t> count{0};
+  pool.parallel_claim(100, [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(count.load(), 100u);
 }
 
 TEST(ThreadPoolGlobal, SetThreadCountResizesGlobalPool) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "c2b/aps/aps.h"
@@ -14,6 +16,7 @@
 #include "c2b/core/optimizer.h"
 #include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
+#include "c2b/obs/journal.h"
 
 namespace c2b {
 namespace {
@@ -246,6 +249,168 @@ TEST(ParallelDeterminism, ParetoFrontierWarmCacheMatchesCold) {
   expect_same_frontier(cold, uncached);
   expect_same_frontier(warm, uncached);
   EXPECT_EQ(warm.batch.cache_hits, warm.feasible_count);
+}
+
+// ---------------------------------------------------------------------------
+// Batched sweep with more than one unit per class: the pool claims units
+// heaviest-first (cores, then members, descending), which is a real
+// permutation of unit order only when several classes each split into
+// several units. Two 32-point core-count classes of distinct configs give
+// four 16-member units.
+
+DseAxes two_unit_axes() {
+  DseAxes axes;
+  axes.a0 = {0.5, 1.0};   // 1 or 2 functional units
+  axes.a1 = {0.25, 0.5};  // two L1 capacities
+  axes.a2 = {0.5, 1.0};   // two L2 capacities
+  axes.n = {1, 2};
+  axes.issue = {2, 4};
+  axes.rob = {32, 64};
+  return axes;
+}
+
+DseContext two_unit_context() {
+  DseContext context = tiny_context();
+  context.instructions0 = 4000;
+  context.per_core_cap = 2000;
+  context.chip.total_area = 16.0;  // every point of two_unit_axes fits
+  return context;
+}
+
+std::vector<std::vector<double>> feasible_points(const DseContext& context, const DseAxes& axes) {
+  std::vector<std::vector<double>> points;
+  make_design_space(axes).for_each([&](std::size_t, const std::vector<double>& point) {
+    if (design_feasible(context, point)) points.push_back(point);
+  });
+  return points;
+}
+
+void expect_same_batch_stats(const BatchReplayStats& got, const BatchReplayStats& want) {
+  EXPECT_EQ(got.classes, want.classes);
+  EXPECT_EQ(got.members, want.members);
+  EXPECT_EQ(got.replayed_configs, want.replayed_configs);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_hits_disk, want.cache_hits_disk);
+  EXPECT_EQ(got.chunks_shared, want.chunks_shared);
+  EXPECT_EQ(got.regen_avoided_accesses, want.regen_avoided_accesses);
+  EXPECT_EQ(got.simd_steps, want.simd_steps);
+  EXPECT_EQ(got.simd_peels, want.simd_peels);
+  EXPECT_EQ(got.simd_lanes_active, want.simd_lanes_active);
+}
+
+void expect_same_outcomes(const std::vector<BatchSimOutcome>& got,
+                          const std::vector<BatchSimOutcome>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << "point " << i;  // bitwise
+    EXPECT_EQ(got[i].memory_accesses, want[i].memory_accesses) << "point " << i;
+  }
+}
+
+/// One journaled sweep's unit events: class_scheduled in emission order,
+/// and the (unit, cores, members, config) of each class_completed in
+/// emission order.
+struct UnitEvents {
+  std::vector<std::string> scheduled;
+  std::vector<std::string> completed;
+  std::vector<std::size_t> completed_units;
+};
+
+UnitEvents read_unit_events(const std::string& path) {
+  UnitEvents events;
+  for (const obs::JournalRecord& record : obs::read_journal(path)) {
+    const std::string unit = std::to_string(static_cast<std::size_t>(record.num("unit")));
+    const std::string shape = unit + "|" + std::to_string(static_cast<int>(record.num("cores"))) +
+                              "|" + std::to_string(static_cast<int>(record.num("members")));
+    if (record.type == "class_scheduled") events.scheduled.push_back(shape);
+    if (record.type == "class_completed") {
+      events.completed.push_back(shape + "|" + record.str("config"));
+      events.completed_units.push_back(static_cast<std::size_t>(record.num("unit")));
+    }
+  }
+  return events;
+}
+
+TEST(ParallelDeterminism, HeaviestFirstUnitClaimingIsBitIdenticalAcrossThreadCounts) {
+  ExecEnvGuard guard;
+  const DseContext context = two_unit_context();
+  const std::vector<std::vector<double>> points = feasible_points(context, two_unit_axes());
+  ASSERT_EQ(points.size(), 64u);
+
+  exec::SimCache::global().set_enabled(false);
+  exec::SimCache::global().clear();
+
+  std::vector<std::vector<BatchSimOutcome>> outcomes;
+  std::vector<BatchReplayStats> stats;
+  std::vector<UnitEvents> events;
+  for (const std::size_t threads : kThreadCounts) {
+    exec::set_thread_count(threads);
+    const std::string path = ::testing::TempDir() + "c2b_heaviest_first_t" +
+                             std::to_string(threads) + ".jsonl";
+    BatchReplayStats run_stats;
+    {
+      auto journal = obs::RunJournal::open(path);
+      ASSERT_NE(journal, nullptr);
+      obs::set_active_journal(journal.get());
+      outcomes.push_back(simulate_design_times_batched(context, points, &run_stats));
+      obs::set_active_journal(nullptr);
+    }
+    stats.push_back(run_stats);
+    events.push_back(read_unit_events(path));
+  }
+
+  // Two classes of 32 distinct configs, so four 16-member units.
+  const UnitEvents& serial = events.front();
+  EXPECT_EQ(stats.front().classes, 2u);
+  EXPECT_EQ(stats.front().replayed_configs, 64u);
+  EXPECT_EQ(serial.scheduled,
+            (std::vector<std::string>{"0|1|16", "1|1|16", "2|2|16", "3|2|16"}));
+  // One thread runs the claims inline in claim order: the N=2 units first.
+  // Completion order is the execution order, so the sweep really ran in a
+  // permutation of unit order.
+  EXPECT_EQ(serial.completed_units, (std::vector<std::size_t>{2, 3, 0, 1}));
+
+  std::vector<std::string> serial_completed = serial.completed;
+  std::sort(serial_completed.begin(), serial_completed.end());
+  for (std::size_t i = 1; i < kThreadCounts.size(); ++i) {
+    SCOPED_TRACE("threads=" + std::to_string(kThreadCounts[i]));
+    expect_same_outcomes(outcomes[i], outcomes.front());
+    expect_same_batch_stats(stats[i], stats.front());
+    EXPECT_EQ(events[i].scheduled, serial.scheduled);
+    std::vector<std::string> completed = events[i].completed;
+    std::sort(completed.begin(), completed.end());
+    EXPECT_EQ(completed, serial_completed);
+  }
+}
+
+TEST(ParallelDeterminism, SweepStartedInsideAPoolTaskRunsInlineBitIdentically) {
+  // A sweep started from a pool task (a nested fork) runs its unit claims
+  // inline on that task's thread; two such sweeps in flight at once must
+  // each equal the top-level serial sweep.
+  ExecEnvGuard guard;
+  const DseContext context = two_unit_context();
+  const std::vector<std::vector<double>> points = feasible_points(context, two_unit_axes());
+
+  exec::SimCache::global().set_enabled(false);
+  exec::SimCache::global().clear();
+
+  exec::set_thread_count(1);
+  BatchReplayStats serial_stats;
+  const std::vector<BatchSimOutcome> serial =
+      simulate_design_times_batched(context, points, &serial_stats);
+
+  exec::set_thread_count(8);
+  std::vector<BatchReplayStats> nested_stats(2);
+  const std::vector<std::vector<BatchSimOutcome>> nested =
+      exec::ThreadPool::global().parallel_map<std::vector<BatchSimOutcome>>(
+          2, [&](std::size_t i) {
+            return simulate_design_times_batched(context, points, &nested_stats[i]);
+          });
+  for (std::size_t i = 0; i < nested.size(); ++i) {
+    SCOPED_TRACE("nested sweep " + std::to_string(i));
+    expect_same_outcomes(nested[i], serial);
+    expect_same_batch_stats(nested_stats[i], serial_stats);
+  }
 }
 
 TEST(ParallelDeterminism, NelderMeadRestartsBitIdenticalAcrossThreadCounts) {

@@ -506,6 +506,13 @@ int cmd_dse(const Args& args) {
 }
 
 int cmd_report(const Args& args) {
+  if (args.has("help")) {
+    std::printf("usage: c2b report --journal <file> [--top <k>] [--heatmap-out <file.csv>]\n"
+                "  --journal <file>      run journal written by --journal-out (required)\n"
+                "  --top <k>             rows in the slowest-class table (>= 1, default 10)\n"
+                "  --heatmap-out <file>  also write the objective heatmap as CSV\n");
+    return 0;
+  }
   const std::string journal_path = args.get("journal", std::string(""));
   const auto top_k = args.get("top", 10LL);
   const std::string heatmap_out = args.get("heatmap-out", std::string(""));
